@@ -17,7 +17,8 @@ use netbase::time::{SimDuration, SimTime};
 use netbase::trie::{LinearLpm, PrefixTrie};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::cache::{CacheKey, TtlCache};
+use resolver::cache::TtlMap;
+use simnet::engine::CacheKey;
 use std::net::{IpAddr, Ipv4Addr};
 use zonedb::popularity::ZipfSampler;
 
@@ -105,7 +106,7 @@ fn cache_ttl(c: &mut Criterion) {
     let zipf = ZipfSampler::new(100_000, 0.95);
     eprintln!("\n--- ablation: resolver cache TTL vs hit ratio ---");
     for ttl_secs in [60u64, 600, 3600, 86_400] {
-        let mut cache = TtlCache::new(65_536);
+        let mut cache = TtlMap::with_capacity(65_536);
         let mut rng = StdRng::seed_from_u64(9);
         let mut now = SimTime::from_unix_secs(0);
         for _ in 0..200_000 {
@@ -114,14 +115,19 @@ fn cache_ttl(c: &mut Criterion) {
                 domain: zipf.sample(&mut rng),
                 rtype: 1,
             };
-            if !cache.lookup(key, now) {
-                cache.insert(key, now, SimDuration::from_secs(ttl_secs));
+            if cache.get(&key, now.as_micros()).is_none() {
+                cache.insert(
+                    key,
+                    (),
+                    now.as_micros(),
+                    SimDuration::from_secs(ttl_secs).as_micros(),
+                );
             }
         }
         eprintln!("TTL {ttl_secs:>6}s -> hit ratio {:.3}", cache.hit_ratio());
     }
     c.bench_function("ablations/cache_funnel_3600s", |b| {
-        let mut cache = TtlCache::new(65_536);
+        let mut cache = TtlMap::with_capacity(65_536);
         let mut rng = StdRng::seed_from_u64(10);
         let mut now = SimTime::from_unix_secs(0);
         b.iter(|| {
@@ -130,8 +136,13 @@ fn cache_ttl(c: &mut Criterion) {
                 domain: zipf.sample(&mut rng),
                 rtype: 1,
             };
-            if !cache.lookup(key, now) {
-                cache.insert(key, now, SimDuration::from_secs(3600));
+            if cache.get(&key, now.as_micros()).is_none() {
+                cache.insert(
+                    key,
+                    (),
+                    now.as_micros(),
+                    SimDuration::from_secs(3600).as_micros(),
+                );
             }
         })
     });

@@ -11,11 +11,12 @@ use entrada::agg::{DistinctCounter, HyperLogLog};
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::cache::{CacheKey, TtlCache};
+use resolver::cache::TtlMap;
+use simnet::engine::CacheKey;
 
 fn benches(c: &mut Criterion) {
     c.bench_function("substrates/ttl_cache_lookup_insert", |b| {
-        let mut cache = TtlCache::new(4096);
+        let mut cache = TtlMap::with_capacity(4096);
         let mut rng = StdRng::seed_from_u64(4);
         let mut now = SimTime::from_unix_secs(0);
         b.iter(|| {
@@ -24,8 +25,13 @@ fn benches(c: &mut Criterion) {
                 domain: rng.gen_range(0..8192),
                 rtype: 1,
             };
-            if !cache.lookup(key, now) {
-                cache.insert(key, now, SimDuration::from_secs(3600));
+            if cache.get(&key, now.as_micros()).is_none() {
+                cache.insert(
+                    key,
+                    (),
+                    now.as_micros(),
+                    SimDuration::from_secs(3600).as_micros(),
+                );
             }
         });
     });

@@ -29,7 +29,7 @@ pub mod iterative;
 pub mod selector;
 pub mod transport;
 
-pub use cache::{FleetCache, Negative, SharedCache};
+pub use cache::{FleetCache, Negative, SharedCache, TtlMap};
 pub use hierarchy::{Network, ZoneBuilder};
 pub use iterative::{
     IterativeResolver, QueryLogEntry, ResolveError, ResolverConfig, ResolverStats,

@@ -10,21 +10,17 @@
 //! (addresses, sites, activity weights), so traffic captured live is
 //! attributable by the unchanged offline analysis pipeline.
 
-use crate::cache::{CacheKey, TtlCache};
-use crate::engine::{choose_server_family, mix_case_0x20, name_key, pick_question_for, Engine};
+use crate::engine::{pick_question_for, CacheKey, Engine, ResolverCache, CACHE_CAP};
+use crate::plane;
 use crate::scenario::{DatasetSpec, Scale};
-use dns_wire::builder::MessageBuilder;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::flow::IpVersion;
 use netbase::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 
-/// Per-resolver cache capacity (entries); matches the offline engine.
-const CACHE_CAP: usize = 4096;
 /// How many cache-absorbed demand events one [`Driver::sample`] call
 /// skips before giving up and emitting a (possibly cached) query anyway.
 const MAX_CACHE_SKIPS: u32 = 50;
@@ -59,7 +55,7 @@ pub struct Driver {
     engine: Engine,
     rng: StdRng,
     fleet_cum: Vec<f64>,
-    caches: Vec<HashMap<u32, TtlCache>>,
+    caches: Vec<HashMap<u32, ResolverCache>>,
     emitted: Vec<u64>,
     junk_emitted: Vec<u64>,
     /// DNSSEC follow-up queries waiting to go out.
@@ -150,22 +146,17 @@ impl Driver {
 
         let (qname, qtype, signed, cacheable, idx) = self.pick_question(fi, want_junk, t);
         if cacheable {
-            let ckey = CacheKey {
-                domain: name_key(&qname),
-                rtype: qtype.to_u16(),
-            };
+            let ckey = CacheKey::new(&qname, qtype);
+            let now = t.as_micros();
             let cache = self.caches[fi]
                 .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP));
-            if cache.lookup(ckey, t) {
+                .or_insert_with(|| ResolverCache::with_capacity(CACHE_CAP));
+            if cache.get(&ckey, now).is_some() {
                 self.cache_hits += 1;
                 return None;
             }
             let ttl = self.engine.fleets[fi].spec.cache_ttl;
-            self.caches[fi]
-                .get_mut(&(r_idx as u32))
-                .expect("just inserted")
-                .insert(ckey, t, ttl);
+            cache.insert(ckey, (), now, ttl.as_micros());
         }
         Some(self.build_query(fi, r_idx, qname, qtype, signed, cacheable, idx, t))
     }
@@ -255,42 +246,26 @@ impl Driver {
         qtype: RType,
         is_junk: bool,
     ) -> PlannedQuery {
-        let rng = &mut self.rng;
         let fleet = &self.engine.fleets[fi];
-        let spec = &fleet.spec;
         let resolver = &fleet.resolvers[r_idx];
-        let server_count = self.engine.spec().servers.len();
-        let (server, family) = choose_server_family(spec, resolver, server_count, rng);
-        let src = resolver.addr_for(family);
-        let server_spec = &self.engine.spec().servers[server];
-        let dst: IpAddr = match IpVersion::of(src) {
-            IpVersion::V4 => IpAddr::V4(server_spec.v4),
-            IpVersion::V6 => IpAddr::V6(server_spec.v6),
-        };
-        let wire_qname = if resolver.mix_case {
-            mix_case_0x20(qname, rng)
-        } else {
-            qname.clone()
-        };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
-        if resolver.edns_size > 0 {
-            builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
-        }
-        let wire = builder.build().encode().expect("generated queries encode");
-        let site_tcp_extra = spec
-            .sites
-            .get(resolver.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(spec.tcp_extra);
-        let tcp_direct = site_tcp_extra > 0.0 && rng.gen_bool(site_tcp_extra);
+        let out = plane::outgoing(
+            &self.engine.spec().servers,
+            &fleet.spec,
+            resolver,
+            qname,
+            qtype,
+            &mut self.rng,
+        );
+        let wire = out.query.encode().expect("generated queries encode");
+        let mut questions = out.query.questions;
         PlannedQuery {
             wire,
-            qname: wire_qname,
+            qname: questions.remove(0).qname,
             qtype,
-            src,
-            dst,
+            src: out.path.src,
+            dst: out.path.dst,
             edns_size: resolver.edns_size,
-            tcp_direct,
+            tcp_direct: out.tcp_direct,
             is_junk,
             fleet: fi,
         }

@@ -24,6 +24,12 @@
 //!   vantage queries*, so traffic shares match by construction while
 //!   the per-query content is emergent.
 //!
+//! The capture itself goes through the traffic plane the calibrated
+//! engine uses: the same slot plan and scheduler (one lane per fleet
+//! plus the incident lane) and the same vantage recorder (UDP under the
+//! EDNS limit, RRL, TC=1 → TCP retry). The two paths differ only in
+//! what is asked and which resolver asks.
+//!
 //! ## Documented tolerances vs the calibrated engine
 //!
 //! The fleet path reproduces the calibrated headline series within the
@@ -44,20 +50,21 @@
 //!   where the calibrated rewrite emits one minimized probe.
 
 use crate::auth::{Answer, Authoritative, ServerSpec};
-use crate::engine::{
-    diurnal_weight, mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine,
+use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
+use crate::fleet::Fleet;
+use crate::plane::{
+    self, incident_question, run_lanes, Delivery, Lane, Part, Path, Recorder, SlotPlan,
 };
-use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::profile::FleetSpec;
-use crate::rrl::{RateLimiter, ResponseClass, RrlAction};
+use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
-use netbase::capture::{CaptureRecord, Direction, RecordSink};
-use netbase::flow::{FlowKey, IpVersion, Transport as FlowTransport};
+use netbase::capture::RecordSink;
+use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use obs::Histogram;
 use rand::rngs::StdRng;
@@ -152,10 +159,10 @@ pub fn sample_stimulus(
 ///
 /// - **root tier** (synthetic, unrecorded): refers everything to the
 ///   vantage zone, glue filtered to the resolver's address families.
-/// - **vantage tier** (recorded): [`Authoritative::respond`] plus the
-///   full capture-shaping of the calibrated engine — 0x20 case mixing,
-///   EDNS truncation with TCP retry, direct-TCP extra, RRL, incident
-///   interception.
+/// - **vantage tier** (recorded): [`Authoritative::respond`] plus 0x20
+///   case mixing, the direct-TCP draw and incident interception, written
+///   by the same vantage recorder as the calibrated engine (EDNS
+///   truncation with TCP retry, RRL).
 /// - **leaf tier** (synthetic, unrecorded): registrant nameservers at
 ///   the referral glue addresses; positive answers carry the fleet's
 ///   `cache_ttl` so cache absorption matches the calibrated model.
@@ -168,14 +175,8 @@ pub struct SimTransport<'a> {
     rtt_hists: &'a [Arc<Histogram>],
     cache_ttl_secs: u32,
     root_zone: bool,
-    /// Per-slot RNG stream (also used by the steering loop).
-    pub rng: StdRng,
-    /// Response rate limiter, when the dataset enables RRL.
-    pub rrl: Option<RateLimiter>,
-    /// Records captured at the vantage this slot.
-    pub buf: Vec<CaptureRecord>,
-    /// Counters for the slot.
-    pub stats: DatasetStats,
+    /// The slot's RNG stream, RRL state, records and counters.
+    rec: Recorder,
     /// Vantage query records emitted by the current stimulus.
     pub emitted: u64,
     resolver_idx: usize,
@@ -185,7 +186,9 @@ pub struct SimTransport<'a> {
 }
 
 impl<'a> SimTransport<'a> {
-    /// Build a transport for one fleet over one time slice.
+    /// Build a transport for one fleet over one time slice, drawing
+    /// from `rng` and rate-limiting with `rrl` when the dataset enables
+    /// RRL.
     pub fn new(
         engine: &'a Engine,
         fleet: &'a Fleet,
@@ -202,10 +205,7 @@ impl<'a> SimTransport<'a> {
             rtt_hists,
             cache_ttl_secs: fleet.spec.cache_ttl.as_secs().max(1) as u32,
             root_zone: engine.zone().is_root_zone(),
-            rng,
-            rrl,
-            buf: Vec::new(),
-            stats: DatasetStats::default(),
+            rec: Recorder::new(rng, rrl),
             emitted: 0,
             resolver_idx: 0,
             junk_stimulus: false,
@@ -224,16 +224,12 @@ impl<'a> SimTransport<'a> {
         self.emitted = 0;
     }
 
-    fn profile(&self) -> &FleetResolver {
-        &self.fleet.resolvers[self.resolver_idx]
-    }
-
     fn now(&self) -> SimTime {
         self.start + self.elapsed
     }
 
     fn families(&self) -> (bool, bool) {
-        let r = self.profile();
+        let r = &self.fleet.resolvers[self.resolver_idx];
         let has = |v: IpVersion| {
             IpVersion::of(r.ip) == v || r.alt_ip.map(|a| IpVersion::of(a) == v).unwrap_or(false)
         };
@@ -295,208 +291,76 @@ impl<'a> SimTransport<'a> {
         None
     }
 
-    /// One recorded exchange at the vantage: the same capture shaping
-    /// as the calibrated engine's `emit_exchange`, driven by the
-    /// resolver's actual wire query.
+    /// One recorded exchange at the vantage, driven by the resolver's
+    /// actual wire query. RNG draws, in order: 0x20 case mixing, direct
+    /// TCP, then the recorder's.
     fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange {
         let family = IpVersion::of(dst_ip);
-        let r = self.profile();
-        let src_ip = r.addr_for(family);
-        let rtt_us = r.rtt_us(si, family);
-        let mix = r.mix_case;
-        let edns_size = r.edns_size;
-        let site_tcp_extra = self
-            .fleet
-            .spec
-            .sites
-            .get(r.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(self.fleet.spec.tcp_extra);
-
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => {
-                return Exchange::Answer {
-                    message: MessageBuilder::response(query, Rcode::FormErr).build(),
-                    rtt_us,
-                }
-            }
+        let fleet = self.fleet;
+        let r = &fleet.resolvers[self.resolver_idx];
+        let path = Path {
+            src: r.addr_for(family),
+            dst: dst_ip,
+            rtt_us: r.rtt_us(si, family),
         };
-        let qname = question.qname.clone();
+        let Some(question) = query.question() else {
+            return Exchange::Answer {
+                message: MessageBuilder::response(query, Rcode::FormErr).build(),
+                rtt_us: path.rtt_us,
+            };
+        };
+        let qname = &question.qname;
         let t = self.now();
         let signed = self
             .zone
-            .delegation_index(&qname)
-            .map(|i| self.zone.is_signed(i))
-            .unwrap_or(false);
-        let answer = match self.incident_referral(&qname, question.qtype, t, query) {
+            .delegation_index(qname)
+            .is_some_and(|i| self.zone.is_signed(i));
+        let answer = match self.incident_referral(qname, question.qtype, t, query) {
             Some(a) => a,
             None => self.auth.respond(query, signed),
         };
         if let Some(h) = self.rtt_hists.get(si) {
-            h.record(rtt_us as u64);
+            h.record(path.rtt_us as u64);
         }
 
         // The wire records carry the 0x20-mixed name; the resolver-side
         // message keeps the clean name so Name equality in the walk is
         // unaffected (real resolvers compare case-insensitively).
-        let wire_qname = if mix {
-            mix_case_0x20(&qname, &mut self.rng)
-        } else {
-            qname.clone()
-        };
-        let mut recorded_query = query.clone();
-        recorded_query.questions[0].qname = wire_qname.clone();
-        let query_bytes = recorded_query.encode().expect("queries encode");
-        let mut recorded_resp = answer.message.clone();
-        if mix && !recorded_resp.questions.is_empty() {
-            recorded_resp.questions[0].qname = wire_qname;
-        }
-
-        // Direct-TCP share (resolvers probing TCP reachability).
-        if site_tcp_extra > 0.0 && self.rng.gen_bool(site_tcp_extra) {
-            self.write_tcp(&query_bytes, &recorded_resp, src_ip, dst_ip, rtt_us, t);
-            self.elapsed = self.elapsed + SimDuration::from_micros(2 * rtt_us as u64 + HOP_GAP_US);
-            return Exchange::Answer {
-                message: answer.message,
-                rtt_us,
-            };
-        }
-
-        // UDP path with truncation and RRL, as in the calibrated engine.
-        let limit = if edns_size == 0 {
-            512
-        } else {
-            edns_size.max(512) as usize
-        };
-        let rrl_action = match &mut self.rrl {
-            Some(limiter) => {
-                let class = match answer.rcode {
-                    Rcode::NoError => ResponseClass::Positive(name_key(&qname)),
-                    Rcode::NxDomain => ResponseClass::Negative,
-                    _ => ResponseClass::Error,
-                };
-                limiter.check(src_ip, class, t)
+        let mixed = r.mix_case.then(|| {
+            let wire_qname = mix_case_0x20(qname, &mut self.rec.rng);
+            let mut q = query.clone();
+            q.questions[0].qname = wire_qname.clone();
+            let mut a = answer.message.clone();
+            if let Some(aq) = a.questions.first_mut() {
+                aq.qname = wire_qname;
             }
-            None => RrlAction::Respond,
-        };
-        let (resp_bytes, truncated) = match rrl_action {
-            RrlAction::Respond => recorded_resp
-                .encode_with_limit(limit)
-                .expect("responses always fit after truncation"),
-            RrlAction::Slip => {
-                self.stats.rrl_slips += 1;
-                let mut slip = recorded_resp.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                (slip.encode().expect("slip encodes"), true)
-            }
-            RrlAction::Drop => {
-                self.stats.rrl_drops += 1;
-                (Vec::new(), false)
-            }
-        };
-        let src_port = self.rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: FlowTransport::Udp,
-        };
-        self.buf.push(CaptureRecord {
-            timestamp: t,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: 0,
-            payload: query_bytes.clone(),
+            (q, a)
         });
-        self.stats.queries += 1;
-        self.emitted += 1;
+        let (rec_query, rec_resp) = match &mixed {
+            Some((q, a)) => (q, a),
+            None => (query, &answer.message),
+        };
+        let tcp = plane::tcp_direct(&fleet.spec, r, &mut self.rec.rng);
+        let delivery = self.rec.exchange(rec_query, rec_resp, path, t, tcp);
+        self.emitted += delivery.queries();
         if self.junk_stimulus {
-            self.stats.junk_queries += 1;
+            self.rec.stats.junk_queries += delivery.queries();
         }
-        if rrl_action == RrlAction::Drop {
+        let rtt = path.rtt_us as u64;
+        let cost = match delivery {
+            Delivery::Tcp => 2 * rtt + HOP_GAP_US,
+            Delivery::Udp => rtt + HOP_GAP_US,
+            Delivery::Retried => 3 * rtt + 2000 + HOP_GAP_US,
             // the resolver sees silence and retries per its state machine
-            self.elapsed = self.elapsed + SimDuration::from_micros(TIMEOUT_COST_US);
-            return Exchange::Timeout;
-        }
-        self.buf.push(CaptureRecord {
-            timestamp: t + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: 0,
-            payload: resp_bytes,
-        });
-        self.stats.responses += 1;
-        if truncated {
-            self.stats.truncated_udp += 1;
-            let retry_at = t + SimDuration::from_micros(rtt_us as u64 + 2000);
-            let mut retry = recorded_query;
-            retry.header.id = self.rng.gen();
-            self.write_tcp(
-                &retry.encode().expect("queries encode"),
-                &recorded_resp,
-                src_ip,
-                dst_ip,
-                rtt_us,
-                retry_at,
-            );
-            self.elapsed =
-                self.elapsed + SimDuration::from_micros(3 * rtt_us as u64 + 2000 + HOP_GAP_US);
-        } else {
-            self.elapsed = self.elapsed + SimDuration::from_micros(rtt_us as u64 + HOP_GAP_US);
-        }
-        Exchange::Answer {
-            message: answer.message,
-            rtt_us,
-        }
-    }
-
-    /// A TCP query/response pair with measured handshake RTT (same
-    /// shape as the calibrated engine's `write_tcp_exchange`).
-    fn write_tcp(
-        &mut self,
-        query_bytes: &[u8],
-        resp: &Message,
-        src_ip: IpAddr,
-        dst_ip: IpAddr,
-        rtt_us: u32,
-        t: SimTime,
-    ) {
-        let measured = (rtt_us as f64 * self.rng.gen_range(0.97..1.03)) as u32;
-        let src_port = self.rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: FlowTransport::Tcp,
+            Delivery::Dropped => TIMEOUT_COST_US,
         };
-        let after_handshake = t + SimDuration::from_micros(rtt_us as u64);
-        self.buf.push(CaptureRecord {
-            timestamp: after_handshake,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(query_bytes).expect("queries fit TCP"),
-        });
-        let resp_wire = resp.encode().expect("responses encode");
-        self.buf.push(CaptureRecord {
-            timestamp: after_handshake + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(&resp_wire).expect("responses fit TCP"),
-        });
-        self.stats.queries += 1;
-        self.stats.responses += 1;
-        self.stats.tcp_queries += 1;
-        self.emitted += 1;
-        if self.junk_stimulus {
-            self.stats.junk_queries += 1;
+        self.elapsed = self.elapsed + SimDuration::from_micros(cost);
+        match delivery {
+            Delivery::Dropped => Exchange::Timeout,
+            _ => Exchange::Answer {
+                message: answer.message,
+                rtt_us: path.rtt_us,
+            },
         }
     }
 
@@ -695,14 +559,6 @@ impl Transport for SimTransport<'_> {
     }
 }
 
-/// One fleet's produced slice of a slot.
-struct FleetSlice {
-    records: Vec<CaptureRecord>,
-    stats: DatasetStats,
-    /// Recorded vantage query records (the steering quota currency).
-    count: u64,
-}
-
 /// End-of-run roll-up from one fleet's stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct FleetSummary {
@@ -713,239 +569,163 @@ struct FleetSummary {
     instances: u64,
 }
 
-/// Persistent per-fleet state: the shared cache and the lazily
-/// materialized resolver instances survive across slots, so TTL decay
-/// and RTT learning are continuous over the dataset's whole window.
+impl FleetSummary {
+    fn add(self, o: FleetSummary) -> FleetSummary {
+        FleetSummary {
+            cache_hits: self.cache_hits + o.cache_hits,
+            cache_misses: self.cache_misses + o.cache_misses,
+            retries: self.retries + o.retries,
+            timeouts: self.timeouts + o.timeouts,
+            instances: self.instances + o.instances,
+        }
+    }
+}
+
+/// One fleet's stream of resolver walks: a lane of the slot scheduler.
+/// The shared cache and the lazily materialized resolver instances
+/// survive across slots, so TTL decay and RTT learning are continuous
+/// over the dataset's whole window.
+///
+/// A demand stream resolves client stimuli until its slot quota of
+/// recorded vantage queries is met (the calibrated engine's steering,
+/// so Table 4 shares hold by construction). The incident stream runs
+/// the incident fleet's resolvers against the cyclically dependent
+/// domains for the incident's quota; its persistent cache never helps,
+/// because cyclic failures are not cacheable.
 struct FleetStream<'a> {
     engine: &'a Engine,
+    plan: &'a SlotPlan,
     fi: usize,
-    fleet: &'a Fleet,
+    incident: bool,
     shared: SharedCache,
     resolvers: HashMap<usize, IterativeResolver>,
     rtt_hists: &'a [Arc<Histogram>],
 }
 
 impl<'a> FleetStream<'a> {
-    fn new(engine: &'a Engine, fi: usize, rtt_hists: &'a [Arc<Histogram>]) -> FleetStream<'a> {
+    fn new(
+        engine: &'a Engine,
+        plan: &'a SlotPlan,
+        fi: usize,
+        incident: bool,
+        rtt_hists: &'a [Arc<Histogram>],
+    ) -> FleetStream<'a> {
         FleetStream {
             engine,
+            plan,
             fi,
-            fleet: &engine.fleets()[fi],
+            incident,
             shared: SharedCache::with_capacity(resolver::cache::DEFAULT_CAPACITY),
             resolvers: HashMap::new(),
             rtt_hists,
         }
     }
 
-    /// Drive this fleet through one hourly slot: stimuli are resolved
-    /// by real resolver instances until the recorded vantage volume
-    /// meets the slot quota (the same largest-remainder steering as the
-    /// calibrated engine, so Table 4 shares hold by construction).
-    fn produce_slot(&mut self, slot: usize, cum_weights: &[f64], target: u64) -> FleetSlice {
-        let engine = self.engine;
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = engine.spec().start + SimDuration::from_hours(slot as u64);
-        let due_now = (target as f64 * cum_weights[slot]).round() as u64;
-        let due_prev = if slot == 0 {
-            0
-        } else {
-            (target as f64 * cum_weights[slot - 1]).round() as u64
-        };
-        let quota = due_now.saturating_sub(due_prev);
-        let rng = StdRng::seed_from_u64(slice_seed(
-            engine.seed() ^ FLEET_SALT ^ self.fi as u64,
-            slot,
-        ));
-        let mut tr = SimTransport::new(
-            engine,
-            self.fleet,
-            self.rtt_hists,
-            rng,
-            engine.spec().rrl.map(RateLimiter::new),
-        );
-        let qmin_on = self.fleet.spec.qmin_active(slot_start);
+    /// Hand one stimulus at `t` to a fleet resolver; returns the vantage
+    /// queries its walk recorded.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve(
+        &mut self,
+        tr: &mut SimTransport<'_>,
+        t: SimTime,
+        qname: &Name,
+        qtype: RType,
+        junk: bool,
+        qmin: bool,
+    ) -> u64 {
+        let fleet = &self.engine.fleets()[self.fi];
+        let r_idx = fleet.pick(&mut tr.rec.rng);
         let shared = &self.shared;
-        let fleet = self.fleet;
-        let mut done = 0u64;
-        let mut attempts = 0u64;
-        let max_attempts = quota.saturating_mul(60).max(1000);
-        while done < quota && attempts < max_attempts {
-            attempts += 1;
-            let t =
-                slot_start + SimDuration::from_micros(tr.rng.gen_range(0..slot_len.as_micros()));
-            let base = due_prev + done;
-            let want_junk = (fleet.spec.junk_ratio * (base + 1) as f64).floor()
-                > (fleet.spec.junk_ratio * base as f64).floor();
+        let res = self.resolvers.entry(r_idx).or_insert_with(|| {
+            let prof = &fleet.resolvers[r_idx];
+            let mut r = IterativeResolver::new(ResolverConfig {
+                qmin,
+                edns_size: prof.edns_size,
+                do_bit: prof.do_bit,
+                ..Default::default()
+            });
+            r.attach_shared_cache(shared.clone());
+            r.set_log_enabled(false);
+            r
+        });
+        res.set_qmin(qmin);
+        res.set_now_micros(t.as_micros());
+        tr.begin(r_idx, t, junk);
+        let _ = res.resolve(tr, qname, qtype);
+        tr.emitted
+    }
+
+    fn summary(&self) -> FleetSummary {
+        // incident walks are not client demand: their cache lookups stay
+        // out of the fleet cache-hit ratio
+        let (cache_hits, cache_misses) = match self.incident {
+            true => (0, 0),
+            false => (self.shared.hits(), self.shared.misses()),
+        };
+        let mut s = FleetSummary {
+            cache_hits,
+            cache_misses,
+            instances: self.resolvers.len() as u64,
+            ..Default::default()
+        };
+        for r in self.resolvers.values() {
+            s.retries += r.stats.retries;
+            s.timeouts += r.stats.timeouts;
+        }
+        s
+    }
+}
+
+impl Lane for FleetStream<'_> {
+    fn produce(&mut self, slot: usize) -> Part {
+        let (engine, plan) = (self.engine, self.plan);
+        let fleet = &engine.fleets()[self.fi];
+        let salt = match self.incident {
+            true => INCIDENT_SALT,
+            false => FLEET_SALT ^ self.fi as u64,
+        };
+        let rng = StdRng::seed_from_u64(slice_seed(engine.seed() ^ salt, slot));
+        let rrl = engine.spec().rrl.map(RateLimiter::new);
+        let mut tr = SimTransport::new(engine, fleet, self.rtt_hists, rng, rrl);
+        let qmin = fleet.spec.qmin_active(plan.slot_start(slot));
+        if self.incident {
+            for incident in &engine.spec().incidents {
+                let Some(quota) = plan.incident_quota(incident, slot) else {
+                    continue;
+                };
+                // each resolve call burns several vantage queries on the
+                // cycle, so the call cap never binds before the quota
+                let (mut done, mut calls) = (0u64, 0u64);
+                while done < quota && calls < quota.max(100) {
+                    let t = plan.arrival(slot, &mut tr.rec.rng);
+                    let (qname, qtype, _) = incident_question(engine, incident, calls);
+                    calls += 1;
+                    done += self.resolve(&mut tr, t, &qname, qtype, false, qmin);
+                }
+            }
+            return tr.rec.into_part(Vec::new());
+        }
+        let done = plan.steer(self.fi, slot, |want_junk| {
+            let t = plan.arrival(slot, &mut tr.rec.rng);
             let stim = sample_stimulus(
                 engine.zone(),
                 engine.zipf(),
                 engine.junk_gen(),
                 &fleet.spec,
                 want_junk,
-                &mut tr.rng,
+                &mut tr.rec.rng,
             );
-            let r_idx = fleet.pick(&mut tr.rng);
-            let res = self.resolvers.entry(r_idx).or_insert_with(|| {
-                let prof = &fleet.resolvers[r_idx];
-                let mut r = IterativeResolver::new(ResolverConfig {
-                    qmin: qmin_on,
-                    edns_size: prof.edns_size,
-                    do_bit: prof.do_bit,
-                    ..Default::default()
-                });
-                r.attach_shared_cache(shared.clone());
-                r.set_log_enabled(false);
-                r
-            });
-            res.set_qmin(qmin_on);
-            res.set_now_micros(t.as_micros());
-            tr.begin(r_idx, t, stim.junk);
-            let _ = res.resolve(&mut tr, &stim.qname, stim.qtype);
-            if tr.emitted == 0 {
+            let emitted = self.resolve(&mut tr, t, &stim.qname, stim.qtype, stim.junk, qmin);
+            if emitted == 0 {
                 // the walk never reached the vantage: demand absorbed
                 // by the shared cache (or leaf-only requery)
-                tr.stats.cache_hits += 1;
+                tr.rec.stats.cache_hits += 1;
             }
-            done += tr.emitted;
-        }
-        FleetSlice {
-            records: std::mem::take(&mut tr.buf),
-            stats: tr.stats,
-            count: done,
-        }
-    }
-
-    fn summary(&self) -> FleetSummary {
-        let mut s = FleetSummary {
-            cache_hits: self.shared.hits(),
-            cache_misses: self.shared.misses(),
-            instances: self.resolvers.len() as u64,
-            ..Default::default()
-        };
-        for r in self.resolvers.values() {
-            s.retries += r.stats.retries;
-            s.timeouts += r.stats.timeouts;
-        }
-        s
-    }
-}
-
-/// The incident traffic stream: Google's resolvers hammering the two
-/// cyclically-dependent domains. Runs serially in the merger (it is a
-/// few slots of one fleet), with its own persistent shared cache —
-/// which never helps, because cyclic failures are not cacheable.
-struct IncidentStream<'a> {
-    engine: &'a Engine,
-    fleet: &'a Fleet,
-    shared: SharedCache,
-    resolvers: HashMap<usize, IterativeResolver>,
-    rtt_hists: &'a [Arc<Histogram>],
-}
-
-impl<'a> IncidentStream<'a> {
-    fn new(engine: &'a Engine, rtt_hists: &'a [Arc<Histogram>]) -> IncidentStream<'a> {
-        let fleet = engine
-            .fleets()
-            .iter()
-            .find(|f| f.spec.name == "google-public")
-            .unwrap_or(&engine.fleets()[0]);
-        IncidentStream {
-            engine,
-            fleet,
-            shared: SharedCache::with_capacity(resolver::cache::DEFAULT_CAPACITY),
-            resolvers: HashMap::new(),
-            rtt_hists,
-        }
-    }
-
-    fn produce_slot(&mut self, slot: usize) -> FleetSlice {
-        let engine = self.engine;
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = engine.spec().start + SimDuration::from_hours(slot as u64);
-        let slot_end = slot_start + slot_len;
-        let rng = StdRng::seed_from_u64(slice_seed(engine.seed() ^ INCIDENT_SALT, slot));
-        let mut tr = SimTransport::new(
-            engine,
-            self.fleet,
-            self.rtt_hists,
-            rng,
-            engine.spec().rrl.map(RateLimiter::new),
-        );
-        let mut count = 0u64;
-        for incident in &engine.spec().incidents {
-            let Incident::CyclicDependency {
-                start,
-                end,
-                total_queries,
-                domain_indices,
-            } = incident;
-            if slot_end <= *start || slot_start >= *end {
-                continue;
-            }
-            let window_slots =
-                ((end.as_micros() - start.as_micros()) / slot_len.as_micros()).max(1);
-            let scaled = (*total_queries as f64 * engine.scale().queries) as u64;
-            let quota = scaled / window_slots;
-            let qmin_on = self.fleet.spec.qmin_active(slot_start);
-            let shared = &self.shared;
-            let fleet = self.fleet;
-            let mut done = 0u64;
-            let mut calls = 0u64;
-            // each resolve call burns several vantage queries on the
-            // cycle, so the call cap never binds before the quota
-            let max_calls = quota.max(100);
-            while done < quota && calls < max_calls {
-                let i = calls;
-                calls += 1;
-                let t = slot_start
-                    + SimDuration::from_micros(tr.rng.gen_range(0..slot_len.as_micros()));
-                let idx = domain_indices[(i % 2) as usize];
-                let qname = engine.zone().registered_domain(idx);
-                let qtype = if i.is_multiple_of(2) {
-                    RType::A
-                } else {
-                    RType::Aaaa
-                };
-                let r_idx = fleet.pick(&mut tr.rng);
-                let res = self.resolvers.entry(r_idx).or_insert_with(|| {
-                    let prof = &fleet.resolvers[r_idx];
-                    let mut r = IterativeResolver::new(ResolverConfig {
-                        qmin: qmin_on,
-                        edns_size: prof.edns_size,
-                        do_bit: prof.do_bit,
-                        ..Default::default()
-                    });
-                    r.attach_shared_cache(shared.clone());
-                    r.set_log_enabled(false);
-                    r
-                });
-                res.set_qmin(qmin_on);
-                res.set_now_micros(t.as_micros());
-                tr.begin(r_idx, t, false);
-                let _ = res.resolve(&mut tr, &qname, qtype);
-                done += tr.emitted;
-            }
-            count += done;
-        }
-        FleetSlice {
-            records: std::mem::take(&mut tr.buf),
-            stats: tr.stats,
-            count,
-        }
-    }
-
-    fn summary(&self) -> FleetSummary {
-        let mut s = FleetSummary {
-            cache_hits: self.shared.hits(),
-            cache_misses: self.shared.misses(),
-            instances: self.resolvers.len() as u64,
-            ..Default::default()
-        };
-        for r in self.resolvers.values() {
-            s.retries += r.stats.retries;
-            s.timeouts += r.stats.timeouts;
-        }
-        s
+            emitted
+        });
+        let mut counts = vec![0; self.fi + 1];
+        counts[self.fi] = done;
+        tr.rec.into_part(counts)
     }
 }
 
@@ -954,146 +734,39 @@ impl Engine {
     /// record is produced by an [`IterativeResolver`] walking the
     /// three-tier [`SimTransport`], with only the vantage tier recorded.
     ///
-    /// `workers` stripes *fleets* (not slots) across threads: a fleet's
-    /// stream is stateful across slots (shared cache, RTT learning), so
-    /// each fleet runs sequentially on one worker while the merger
-    /// reassembles slots in order. Output is byte-identical for any
-    /// worker count.
+    /// Each fleet's stream, plus the incident stream, is one lane of the
+    /// slot scheduler the calibrated engine uses. A stream is stateful
+    /// across slots (shared cache, RTT learning), so `workers` stripes
+    /// whole streams across threads while the merger reassembles slots
+    /// in order. Output is byte-identical for any worker count.
     pub fn generate_fleet<S: RecordSink>(
         &self,
         out: &mut S,
         workers: usize,
     ) -> std::io::Result<DatasetStats> {
-        let slots = (self.spec().days as usize) * 24;
-        let nfleets = self.fleets().len();
-        let workers = workers.clamp(1, nfleets.max(1));
-        let total = self.scaled_total();
-        let mut stage = obs::stage("simnet.fleet");
-        let mut progress = obs::Progress::new(
-            format!("fleet {:?}-{}", self.spec().vantage, self.spec().year),
-            Some(total),
-        );
-
-        // identical slot weighting to the calibrated engine
-        let weights: Vec<f64> = (0..slots)
-            .map(|s| diurnal_weight(self.spec().start + SimDuration::from_hours(s as u64)))
-            .collect();
-        let wsum: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let cum_weights: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                cum += w;
-                cum / wsum
-            })
-            .collect();
-        let targets: Vec<u64> = self
-            .fleets()
-            .iter()
-            .map(|f| (f.spec.traffic_share * total as f64).round() as u64)
-            .collect();
-
+        let plan = SlotPlan::new(self);
         // fleet observability: per-nameserver RTT histograms plus
         // cache/retry/timeout roll-ups published at the end
         let rtt_hists = ns_rtt_histograms(&self.spec().servers);
-
-        let mut stats = DatasetStats::default();
-        let mut fleet_counts: Vec<u64> = vec![0u64; nfleets];
-        let mut summary = FleetSummary::default();
-
-        let engine = self;
-        let cum_ref = &cum_weights;
-        let targets_ref = &targets;
-        let hists_ref = &rtt_hists;
-        crossbeam::thread::scope(|scope| -> std::io::Result<()> {
-            let mut slice_rxs: Vec<Option<crossbeam::channel::Receiver<FleetSlice>>> =
-                (0..nfleets).map(|_| None).collect();
-            let mut sum_rxs: Vec<Option<crossbeam::channel::Receiver<FleetSummary>>> =
-                (0..nfleets).map(|_| None).collect();
-            for w in 0..workers {
-                let mut lanes = Vec::new();
-                for fi in (0..nfleets).filter(|fi| fi % workers == w) {
-                    let (tx, rx) = crossbeam::channel::bounded::<FleetSlice>(2);
-                    let (stx, srx) = crossbeam::channel::bounded::<FleetSummary>(1);
-                    slice_rxs[fi] = Some(rx);
-                    sum_rxs[fi] = Some(srx);
-                    lanes.push((fi, tx, stx));
-                }
-                scope.spawn(move |_| {
-                    let mut streams: Vec<FleetStream> = lanes
-                        .iter()
-                        .map(|(fi, _, _)| FleetStream::new(engine, *fi, hists_ref))
-                        .collect();
-                    'outer: for slot in 0..slots {
-                        for (k, (fi, tx, _)) in lanes.iter().enumerate() {
-                            let slice = streams[k].produce_slot(slot, cum_ref, targets_ref[*fi]);
-                            if tx.send(slice).is_err() {
-                                break 'outer; // merger gone: stop early
-                            }
-                        }
-                    }
-                    for (k, (_, _, stx)) in lanes.iter().enumerate() {
-                        let _ = stx.send(streams[k].summary());
-                    }
-                });
-            }
-
-            let mut incidents = IncidentStream::new(engine, hists_ref);
-            let mut merge = || -> std::io::Result<()> {
-                for slot in 0..slots {
-                    let mut buf: Vec<CaptureRecord> = Vec::new();
-                    for fi in 0..nfleets {
-                        let slice = slice_rxs[fi]
-                            .as_ref()
-                            .expect("lane wired")
-                            .recv()
-                            .map_err(|_| std::io::Error::other("fleet worker disconnected"))?;
-                        progress.tick(slice.stats.queries);
-                        stats.absorb(&slice.stats);
-                        fleet_counts[fi] += slice.count;
-                        buf.extend(slice.records);
-                    }
-                    let inc = incidents.produce_slot(slot);
-                    stats.absorb(&inc.stats);
-                    buf.extend(inc.records);
-                    buf.sort_by_key(|r| r.timestamp);
-                    for rec in buf {
-                        out.emit(rec)?;
-                    }
-                    out.slice_end(slot as u64)?;
-                }
-                Ok(())
-            };
-            let merged = merge();
-            // dropping the receivers wakes workers blocked on full lanes
-            drop(slice_rxs);
-            if merged.is_ok() {
-                for srx in sum_rxs.iter().flatten() {
-                    if let Ok(s) = srx.recv() {
-                        summary.cache_hits += s.cache_hits;
-                        summary.cache_misses += s.cache_misses;
-                        summary.retries += s.retries;
-                        summary.timeouts += s.timeouts;
-                        summary.instances += s.instances;
-                    }
-                }
-                let inc = incidents.summary();
-                summary.retries += inc.retries;
-                summary.timeouts += inc.timeouts;
-                summary.instances += inc.instances;
-            }
-            merged
-        })
-        .expect("fleet workers do not panic")?;
-
-        stats.cache_hits = stats.cache_hits.max(summary.cache_hits);
-        stats.per_fleet = self
-            .fleets()
-            .iter()
-            .zip(&fleet_counts)
-            .map(|(f, c)| (f.spec.name.clone(), *c))
+        let nfleets = self.fleets().len();
+        let mut lanes: Vec<FleetStream> = (0..nfleets)
+            .map(|fi| FleetStream::new(self, &plan, fi, false, &rtt_hists))
             .collect();
-        stage.add_items(stats.queries + stats.responses);
+        lanes.push(FleetStream::new(
+            self,
+            &plan,
+            self.incident_fleet(),
+            true,
+            &rtt_hists,
+        ));
+        let workers = workers.clamp(1, nfleets.max(1));
+        let (mut stats, lanes) = run_lanes(self, "simnet.fleet", lanes, workers, out)?;
+
+        let summary = lanes
+            .iter()
+            .map(FleetStream::summary)
+            .fold(FleetSummary::default(), FleetSummary::add);
+        stats.cache_hits = stats.cache_hits.max(summary.cache_hits);
         let lookups = summary.cache_hits + summary.cache_misses;
         obs::gauge(
             "resolver_fleet_cache_hit_ratio",
@@ -1119,21 +792,7 @@ impl Engine {
             "fleet resolver exchanges that timed out",
         )
         .add(summary.timeouts);
-        obs::counter(
-            "simnet_queries_total",
-            "query records generated by the simnet engine",
-        )
-        .add(stats.queries);
-        obs::counter(
-            "simnet_responses_total",
-            "response records generated by the simnet engine",
-        )
-        .add(stats.responses);
-        obs::counter(
-            "simnet_cache_hits_total",
-            "demand events absorbed by simulated resolver caches",
-        )
-        .add(stats.cache_hits);
+        stats.publish();
         Ok(stats)
     }
 }
@@ -1143,7 +802,8 @@ mod tests {
     use super::*;
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
-    use netbase::capture::{CaptureReader, CaptureWriter};
+    use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter, Direction};
+    use netbase::flow::Transport as FlowTransport;
 
     fn generate_fleet_capture(
         spec: crate::scenario::DatasetSpec,

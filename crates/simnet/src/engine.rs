@@ -6,36 +6,63 @@
 //! apportioning over hourly slots with a diurnal/weekly load shape).
 //! Demand above the emitted count is absorbed by resolver caches, just
 //! as real vantage points only see the cache-miss shadow of user demand.
+//!
+//! The calibrated generator here samples each query from the fleet's
+//! fitted distributions; the capture itself (slot plan, scheduler,
+//! vantage recorder) is the traffic plane it shares with
+//! [`crate::emerge`].
 
-use crate::auth::{Answer, Authoritative};
-use crate::cache::{CacheKey, TtlCache};
+use crate::auth::Authoritative;
 use crate::fleet::{sample_dist, splitmix, Fleet, Resolver};
+use crate::plane::{self, incident_question, run_lanes, Lane, Part, Recorder, SlotPlan};
 use crate::profile::FleetSpec;
 use crate::ptr::PtrDb;
-use crate::rrl::{RateLimiter, ResponseClass, RrlAction};
-use crate::scenario::{DatasetSpec, Incident, Scale};
+use crate::rrl::RateLimiter;
+use crate::scenario::{DatasetSpec, Scale};
 use asdb::synth::{InternetPlan, PlanConfig};
-use dns_wire::builder::MessageBuilder;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::capture::{CaptureRecord, CaptureWriter, Direction, RecordSink};
-use netbase::flow::{FlowKey, IpVersion, Transport};
+use netbase::capture::{CaptureWriter, RecordSink};
+use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use resolver::cache::TtlMap;
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::IpAddr;
 use zonedb::junk::JunkGenerator;
 use zonedb::popularity::ZipfSampler;
 use zonedb::zone::ZoneModel;
 
 /// Per-resolver cache capacity (entries).
-const CACHE_CAP: usize = 4096;
+pub(crate) const CACHE_CAP: usize = 4096;
 /// Softmax temperature for server preference, microseconds.
 const SERVER_TAU_US: f64 = 30_000.0;
 /// Logistic temperature for dual-stack family choice, microseconds.
 const FAMILY_TAU_US: f64 = 15_000.0;
+
+/// A simulated resolver's cache key: the case-folded name hash and the
+/// record type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    /// [`name_key`] of the query name.
+    pub domain: u64,
+    /// Numeric record type.
+    pub rtype: u16,
+}
+
+impl CacheKey {
+    /// The key for `(qname, qtype)`.
+    pub fn new(qname: &Name, qtype: RType) -> CacheKey {
+        CacheKey {
+            domain: name_key(qname),
+            rtype: qtype.to_u16(),
+        }
+    }
+}
+
+/// One simulated resolver's cache: presence only, times in µs.
+pub(crate) type ResolverCache = TtlMap<CacheKey, ()>;
 
 /// Derive the synthetic-Internet plan configuration for a dataset, so
 /// the generator and any later analyzer build byte-identical plans.
@@ -85,13 +112,25 @@ impl DatasetStats {
         self.rrl_slips += other.rrl_slips;
         self.rrl_drops += other.rrl_drops;
     }
-}
 
-/// One generated time slice (an hourly slot), ready to merge.
-struct SliceOut {
-    records: Vec<CaptureRecord>,
-    stats: DatasetStats,
-    fleet_counts: Vec<u64>,
+    /// Publish the run's `simnet_*` counters.
+    pub(crate) fn publish(&self) {
+        obs::counter(
+            "simnet_queries_total",
+            "query records generated by the simnet engine",
+        )
+        .add(self.queries);
+        obs::counter(
+            "simnet_responses_total",
+            "response records generated by the simnet engine",
+        )
+        .add(self.responses);
+        obs::counter(
+            "simnet_cache_hits_total",
+            "demand events absorbed by simulated resolver caches",
+        )
+        .add(self.cache_hits);
+    }
 }
 
 /// RNG seed for one time slice: stable-hash the dataset seed with the
@@ -211,316 +250,144 @@ impl Engine {
     }
 
     /// Generate the dataset into any record sink, spread over `shards`
-    /// crossbeam scoped worker threads.
+    /// worker threads.
     ///
-    /// Time is sliced by hourly slot — each slice is a contiguous time
-    /// range driven by its own `StdRng` split from the dataset seed via
-    /// [`splitmix`] stable hashing, with fresh per-slice resolver
-    /// caches and RRL state — and slices merge in slot order. The
-    /// output is therefore byte-identical for any shard count.
+    /// Time is sliced by hourly slot — each slice is driven by its own
+    /// `StdRng` split from the dataset seed via [`splitmix`] stable
+    /// hashing, with fresh per-slice resolver caches and RRL state.
+    /// Shard `w` generates the slots `≡ w (mod shards)` as one lane of
+    /// the shared slot scheduler, which merges slices in slot order, so the
+    /// output is byte-identical for any shard count.
     pub fn generate_sharded<S: RecordSink>(
         &self,
         out: &mut S,
         shards: usize,
     ) -> std::io::Result<DatasetStats> {
-        let slots = (self.spec.days as usize) * 24;
-        let shards = shards.clamp(1, slots.max(1));
-        let total = self.scaled_total();
-        let mut stage = obs::stage("simnet.generate");
-        let mut progress = obs::Progress::new(
-            format!("simnet {:?}-{}", self.spec.vantage, self.spec.year),
-            Some(total),
-        );
-
-        // diurnal/weekly slot weights
-        let weights: Vec<f64> = (0..slots)
-            .map(|s| {
-                let t = self.spec.start + SimDuration::from_hours(s as u64);
-                diurnal_weight(t)
+        let plan = SlotPlan::new(self);
+        let shards = shards.clamp(1, plan.slots().max(1));
+        let lanes = (0..shards)
+            .map(|shard| SliceLane {
+                engine: self,
+                plan: &plan,
+                shard,
+                shards,
             })
             .collect();
-        let wsum: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let cum_weights: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                cum += w;
-                cum / wsum
-            })
-            .collect();
-        let targets: Vec<u64> = self
-            .fleets
-            .iter()
-            .map(|f| (f.spec.traffic_share * total as f64).round() as u64)
-            .collect();
-
-        let mut stats = DatasetStats::default();
-        let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
-
-        if shards == 1 {
-            for slot in 0..slots {
-                let slice = self.generate_slice(slot, &cum_weights, &targets);
-                progress.tick(slice.stats.queries);
-                stats.absorb(&slice.stats);
-                for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
-                    *acc += *c;
-                }
-                for rec in slice.records {
-                    out.emit(rec)?;
-                }
-                out.slice_end(slot as u64)?;
-            }
-        } else {
-            // Workers stripe the slot range (worker w takes slots w,
-            // w+shards, ...); the merger pulls slices back in slot
-            // order over small bounded channels, so every shard keeps
-            // producing while the merge stays strictly ordered and
-            // memory stays bounded.
-            let engine = self;
-            let cum_ref = &cum_weights;
-            let targets_ref = &targets;
-            crossbeam::thread::scope(|scope| -> std::io::Result<()> {
-                let mut rxs = Vec::with_capacity(shards);
-                for w in 0..shards {
-                    let (tx, rx) = crossbeam::channel::bounded::<SliceOut>(2);
-                    rxs.push(rx);
-                    scope.spawn(move |_| {
-                        let mut shard_stage = obs::stage_owned(format!("simnet.generate.shard{w}"));
-                        let mut slot = w;
-                        while slot < slots {
-                            let slice = engine.generate_slice(slot, cum_ref, targets_ref);
-                            shard_stage.add_items(slice.stats.queries + slice.stats.responses);
-                            if tx.send(slice).is_err() {
-                                break; // merger gone (sink error): stop early
-                            }
-                            slot += shards;
-                        }
-                    });
-                }
-                let mut merge = || -> std::io::Result<()> {
-                    for slot in 0..slots {
-                        let slice = rxs[slot % shards]
-                            .recv()
-                            .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
-                        progress.tick(slice.stats.queries);
-                        stats.absorb(&slice.stats);
-                        for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
-                            *acc += *c;
-                        }
-                        for rec in slice.records {
-                            out.emit(rec)?;
-                        }
-                        out.slice_end(slot as u64)?;
-                    }
-                    Ok(())
-                };
-                let merged = merge();
-                // dropping the receivers wakes any worker still blocked
-                // on a full channel, so the scope always joins
-                drop(rxs);
-                merged
-            })
-            .expect("generator shards do not panic")?;
-        }
-
-        stats.per_fleet = self
-            .fleets
-            .iter()
-            .zip(fleet_counts)
-            .map(|(f, c)| (f.spec.name.clone(), c))
-            .collect();
-        stage.add_items(stats.queries + stats.responses);
-        obs::counter(
-            "simnet_queries_total",
-            "query records generated by the simnet engine",
-        )
-        .add(stats.queries);
-        obs::counter(
-            "simnet_responses_total",
-            "response records generated by the simnet engine",
-        )
-        .add(stats.responses);
-        obs::counter(
-            "simnet_cache_hits_total",
-            "demand events absorbed by simulated resolver caches",
-        )
-        .add(stats.cache_hits);
+        let (stats, _) = run_lanes(self, "simnet.generate", lanes, shards, out)?;
+        stats.publish();
         Ok(stats)
     }
 
     /// Generate one hourly time slice, self-contained: its own RNG
     /// stream, resolver caches, and RRL state, so slices can run on any
     /// thread in any order and still merge byte-identically.
-    fn generate_slice(&self, slot: usize, cum_weights: &[f64], targets: &[u64]) -> SliceOut {
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = self.spec.start + SimDuration::from_hours(slot as u64);
-        let prev_cum = if slot == 0 {
-            0.0
-        } else {
-            cum_weights[slot - 1]
-        };
-        let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
-        let mut stats = DatasetStats::default();
-        let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
-        let mut caches: Vec<HashMap<u32, TtlCache>> =
-            self.fleets.iter().map(|_| HashMap::new()).collect();
-        let mut rrl: Option<RateLimiter> = self.spec.rrl.map(RateLimiter::new);
-        let mut buf: Vec<CaptureRecord> = Vec::new();
-
-        for (fi, fleet) in self.fleets.iter().enumerate() {
-            // this slice's share of the fleet target: the rounded
-            // cumulative quota telescopes exactly to `targets[fi]`
-            // across the slot range
-            let due_now = (targets[fi] as f64 * cum_weights[slot]).round() as u64;
-            let due_prev = (targets[fi] as f64 * prev_cum).round() as u64;
-            let quota = due_now.saturating_sub(due_prev);
-            let mut done = 0u64;
-            let mut attempts = 0u64;
-            let max_attempts = quota.saturating_mul(60).max(1000);
-            while done < quota && attempts < max_attempts {
-                attempts += 1;
-                let t =
-                    slot_start + SimDuration::from_micros(rng.gen_range(0..slot_len.as_micros()));
-                // junk_ratio is a *server-side* target (Figure 4 is
-                // measured at the vantage): steer junk onto the exact
-                // integer lattice of the cumulative ratio, anchored at
-                // the slice's quota base, so the mix holds without any
-                // cross-slice state (cache absorption of valid demand
-                // cannot skew it either)
-                let base = due_prev + done;
-                let want_junk = (fleet.spec.junk_ratio * (base + 1) as f64).floor()
-                    > (fleet.spec.junk_ratio * base as f64).floor();
-                let n = self.demand(
-                    fleet,
-                    t,
-                    want_junk,
-                    &mut rng,
-                    &mut caches[fi],
-                    &mut rrl,
-                    &mut buf,
-                    &mut stats,
-                );
-                done += n;
-            }
-            fleet_counts[fi] += done;
-        }
-        self.emit_incidents(
-            slot,
-            cum_weights,
-            slot_start,
-            slot_len,
-            &mut rng,
-            &mut rrl,
-            &mut buf,
-            &mut stats,
+    fn generate_slice(&self, slot: usize, plan: &SlotPlan) -> Part {
+        let mut rec = Recorder::new(
+            StdRng::seed_from_u64(slice_seed(self.seed, slot)),
+            self.spec.rrl.map(RateLimiter::new),
         );
-        buf.sort_by_key(|r| r.timestamp);
-        SliceOut {
-            records: buf,
-            stats,
-            fleet_counts,
+        let mut caches: Vec<HashMap<u32, ResolverCache>> =
+            self.fleets.iter().map(|_| HashMap::new()).collect();
+        let mut fleet_counts = vec![0u64; self.fleets.len()];
+        for (fi, fleet) in self.fleets.iter().enumerate() {
+            fleet_counts[fi] = plan.steer(fi, slot, |want_junk| {
+                let t = plan.arrival(slot, &mut rec.rng);
+                self.demand(fleet, t, want_junk, &mut caches[fi], &mut rec)
+            });
         }
+        // incident traffic (the Feb-2020 cyclic dependency): cache-defeating
+        // A/AAAA floods from the incident fleet's resolvers
+        let fleet = &self.fleets[self.incident_fleet()];
+        for incident in &self.spec.incidents {
+            for i in 0..plan.incident_quota(incident, slot).unwrap_or(0) {
+                let t = plan.arrival(slot, &mut rec.rng);
+                let resolver = &fleet.resolvers[fleet.pick(&mut rec.rng)];
+                let (qname, qtype, signed) = incident_question(self, incident, i);
+                self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, &mut rec);
+            }
+        }
+        rec.into_part(fleet_counts)
+    }
+
+    /// The fleet whose resolvers carry incident traffic: Google's public
+    /// resolvers, else the first fleet.
+    pub(crate) fn incident_fleet(&self) -> usize {
+        self.fleets
+            .iter()
+            .position(|f| f.spec.name == "google-public")
+            .unwrap_or(0)
     }
 
     /// One demand event; returns the number of query records emitted
     /// (0 when the resolver cache absorbed it).
-    #[allow(clippy::too_many_arguments)]
     fn demand(
         &self,
         fleet: &Fleet,
         t: SimTime,
         is_junk: bool,
-        rng: &mut StdRng,
-        caches: &mut HashMap<u32, TtlCache>,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
+        caches: &mut HashMap<u32, ResolverCache>,
+        rec: &mut Recorder,
     ) -> u64 {
         let spec = &fleet.spec;
-        let r_idx = fleet.pick(rng);
+        let r_idx = fleet.pick(&mut rec.rng);
         let resolver = &fleet.resolvers[r_idx];
-
-        let (qname, qtype, signed, cacheable, _domain_idx) =
-            pick_question_for(&self.zone, &self.zipf, &self.junk, spec, t, is_junk, rng);
-
-        let ckey = CacheKey {
-            domain: name_key(&qname),
-            rtype: qtype.to_u16(),
-        };
         let cache = caches
             .entry(r_idx as u32)
-            .or_insert_with(|| TtlCache::new(CACHE_CAP));
-        if cacheable && cache.lookup(ckey, t) {
-            stats.cache_hits += 1;
+            .or_insert_with(|| ResolverCache::with_capacity(CACHE_CAP));
+        let now = t.as_micros();
+
+        let (qname, qtype, signed, cacheable, _domain_idx) = pick_question_for(
+            &self.zone,
+            &self.zipf,
+            &self.junk,
+            spec,
+            t,
+            is_junk,
+            &mut rec.rng,
+        );
+
+        let ckey = CacheKey::new(&qname, qtype);
+        if cacheable && cache.get(&ckey, now).is_some() {
+            rec.stats.cache_hits += 1;
             return 0;
         }
 
-        let mut emitted = self.emit_exchange(
-            fleet, resolver, &qname, qtype, signed, t, rng, rrl, buf, stats,
-        );
+        let mut emitted = self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, rec);
         if is_junk {
-            stats.junk_queries += emitted;
+            rec.stats.junk_queries += emitted;
         }
         if cacheable {
             // the spec's TTL verbatim: entries decay per-record from
             // their own insertion instant (no whole-second rounding)
-            let ttl = spec.cache_ttl;
-            caches
-                .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP))
-                .insert(ckey, t, ttl);
+            cache.insert(ckey, (), now, spec.cache_ttl.as_micros());
         }
 
         // DNSSEC validation follow-ups
-        if spec.validates && !is_junk && signed && qtype != RType::Ds && rng.gen_bool(spec.ds_prob)
+        if spec.validates
+            && !is_junk
+            && signed
+            && qtype != RType::Ds
+            && rec.rng.gen_bool(spec.ds_prob)
         {
             let delegation = self.zone.minimized_qname(&qname);
-            let dkey = CacheKey {
-                domain: name_key(&delegation),
-                rtype: RType::Ds.to_u16(),
-            };
-            let cache = caches
-                .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP));
-            if !cache.lookup(dkey, t) {
-                emitted += self.emit_exchange(
-                    fleet,
-                    resolver,
-                    &delegation,
-                    RType::Ds,
-                    true,
-                    t + SimDuration::from_millis(5),
-                    rng,
-                    rrl,
-                    buf,
-                    stats,
-                );
-                caches
-                    .entry(r_idx as u32)
-                    .or_insert_with(|| TtlCache::new(CACHE_CAP))
-                    .insert(dkey, t, SimDuration::from_secs(3600));
+            let dkey = CacheKey::new(&delegation, RType::Ds);
+            if cache.get(&dkey, now).is_none() {
+                let at = t + SimDuration::from_millis(5);
+                emitted +=
+                    self.emit_exchange(fleet, resolver, &delegation, RType::Ds, true, at, rec);
+                cache.insert(dkey, (), now, SimDuration::from_secs(3600).as_micros());
             }
         }
-        if spec.validates && rng.gen_bool(spec.dnskey_prob) {
+        if spec.validates && rec.rng.gen_bool(spec.dnskey_prob) {
             let apex = self.zone.apex().clone();
-            emitted += self.emit_exchange(
-                fleet,
-                resolver,
-                &apex,
-                RType::Dnskey,
-                true,
-                t + SimDuration::from_millis(8),
-                rng,
-                rrl,
-                buf,
-                stats,
-            );
+            let at = t + SimDuration::from_millis(8);
+            emitted += self.emit_exchange(fleet, resolver, &apex, RType::Dnskey, true, at, rec);
         }
         emitted
     }
 
-    /// Emit one query/response exchange (plus TCP fallback if the UDP
-    /// response truncates). Returns query records written.
+    /// Emit one query/response exchange through the vantage recorder.
+    /// Returns query records written.
     #[allow(clippy::too_many_arguments)]
     fn emit_exchange(
         &self,
@@ -530,256 +397,38 @@ impl Engine {
         qtype: RType,
         signed: bool,
         t: SimTime,
-        rng: &mut StdRng,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
+        rec: &mut Recorder,
     ) -> u64 {
-        let spec = &fleet.spec;
-        let server_count = self.spec.servers.len();
-        let (server, family) = choose_server_family(spec, resolver, server_count, rng);
-        let src_ip = resolver.addr_for(family);
-        let server_spec = &self.spec.servers[server];
-        let dst_ip: IpAddr = match family {
-            IpVersion::V4 => IpAddr::V4(server_spec.v4),
-            IpVersion::V6 => IpAddr::V6(server_spec.v6),
-        };
-        let rtt_us = resolver.rtt_us(server, IpVersion::of(src_ip));
-
-        // 0x20 case randomization: the anti-spoofing measure some CPs
-        // apply; the analysis side must (and does) treat names
-        // case-insensitively.
-        let wire_qname = if resolver.mix_case {
-            mix_case_0x20(qname, rng)
-        } else {
-            qname.clone()
-        };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
-        if resolver.edns_size > 0 {
-            builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
-        }
-        let query = builder.build();
-        let answer: Answer = self.auth.respond(&query, signed);
-        let query_bytes = query.encode().expect("generated queries encode");
-
-        let site_tcp_extra = spec
-            .sites
-            .get(resolver.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(spec.tcp_extra);
-
-        let mut emitted = 0u64;
-        if site_tcp_extra > 0.0 && rng.gen_bool(site_tcp_extra) {
-            emitted += self.write_tcp_exchange(
-                &query_bytes,
-                &answer,
-                src_ip,
-                dst_ip,
-                rtt_us,
-                t,
-                rng,
-                buf,
-                stats,
-            );
-            return emitted;
-        }
-
-        // UDP path
-        let limit = if resolver.edns_size == 0 {
-            512
-        } else {
-            resolver.edns_size.max(512) as usize
-        };
-        // Response Rate Limiting at the authoritative (§4.4): under
-        // pressure, a response may be replaced by a TC=1 slip (forcing
-        // the TCP proof-of-path) or silently dropped.
-        let rrl_action = match rrl {
-            Some(limiter) => {
-                let class = match answer.rcode {
-                    dns_wire::types::Rcode::NoError => ResponseClass::Positive(name_key(qname)),
-                    dns_wire::types::Rcode::NxDomain => ResponseClass::Negative,
-                    _ => ResponseClass::Error,
-                };
-                limiter.check(src_ip, class, t)
-            }
-            None => RrlAction::Respond,
-        };
-        let (resp_bytes, truncated) = match rrl_action {
-            RrlAction::Respond => answer
-                .message
-                .encode_with_limit(limit)
-                .expect("responses always fit after truncation"),
-            RrlAction::Slip => {
-                stats.rrl_slips += 1;
-                let mut slip = answer.message.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                (slip.encode().expect("slip encodes"), true)
-            }
-            RrlAction::Drop => {
-                stats.rrl_drops += 1;
-                (Vec::new(), false)
-            }
-        };
-        let src_port = rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: Transport::Udp,
-        };
-        buf.push(CaptureRecord {
-            timestamp: t,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: 0,
-            payload: query_bytes.clone(),
-        });
-        stats.queries += 1;
-        emitted += 1;
-        if rrl_action != RrlAction::Drop {
-            buf.push(CaptureRecord {
-                timestamp: t + SimDuration::from_micros(rtt_us as u64),
-                direction: Direction::Response,
-                flow: flow.reversed(),
-                tcp_rtt_us: 0,
-                payload: resp_bytes,
-            });
-            stats.responses += 1;
-        }
-        if truncated {
-            stats.truncated_udp += 1;
-            // TCP retry with a fresh transaction
-            let retry_at = t + SimDuration::from_micros(rtt_us as u64 + 2000);
-            let mut b = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
-            if resolver.edns_size > 0 {
-                b = b.with_edns(resolver.edns_size, resolver.do_bit);
-            }
-            let retry = b.build();
-            let retry_answer = self.auth.respond(&retry, signed);
-            emitted += self.write_tcp_exchange(
-                &retry.encode().expect("queries encode"),
-                &retry_answer,
-                src_ip,
-                dst_ip,
-                rtt_us,
-                retry_at,
-                rng,
-                buf,
-                stats,
-            );
-        }
-        emitted
+        let out = plane::outgoing(
+            &self.spec.servers,
+            &fleet.spec,
+            resolver,
+            qname,
+            qtype,
+            &mut rec.rng,
+        );
+        let answer = self.auth.respond(&out.query, signed);
+        rec.exchange(&out.query, &answer.message, out.path, t, out.tcp_direct)
+            .queries()
     }
+}
 
-    /// Write a TCP query/response pair carrying the measured handshake
-    /// RTT (what the paper's Figure 5 derives its medians from).
-    #[allow(clippy::too_many_arguments)]
-    fn write_tcp_exchange(
-        &self,
-        query_bytes: &[u8],
-        answer: &Answer,
-        src_ip: IpAddr,
-        dst_ip: IpAddr,
-        rtt_us: u32,
-        t: SimTime,
-        rng: &mut StdRng,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
-    ) -> u64 {
-        // the capture box measures SYN->SYNACK with small kernel jitter
-        let measured = (rtt_us as f64 * rng.gen_range(0.97..1.03)) as u32;
-        let src_port = rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: Transport::Tcp,
-        };
-        let after_handshake = t + SimDuration::from_micros(rtt_us as u64);
-        // DNS-over-TCP frames carry the RFC 1035 two-octet length prefix
-        buf.push(CaptureRecord {
-            timestamp: after_handshake,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(query_bytes).expect("generated queries fit TCP"),
-        });
-        let resp_wire = answer.message.encode().expect("responses encode");
-        buf.push(CaptureRecord {
-            timestamp: after_handshake + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(&resp_wire).expect("responses fit TCP"),
-        });
-        stats.queries += 1;
-        stats.responses += 1;
-        stats.tcp_queries += 1;
-        1
-    }
+/// One shard of the calibrated generator: the slots `≡ shard (mod
+/// shards)`, each a self-contained slice; an empty part for the rest.
+struct SliceLane<'a> {
+    engine: &'a Engine,
+    plan: &'a SlotPlan,
+    shard: usize,
+    shards: usize,
+}
 
-    /// Layer incident traffic (the Feb-2020 cyclic dependency) over a
-    /// slot: cache-defeating A/AAAA floods from Google's resolvers.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_incidents(
-        &self,
-        slot: usize,
-        cum_weights: &[f64],
-        slot_start: SimTime,
-        slot_len: SimDuration,
-        rng: &mut StdRng,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
-    ) {
-        for incident in &self.spec.incidents {
-            let Incident::CyclicDependency {
-                start,
-                end,
-                total_queries,
-                domain_indices,
-            } = incident;
-            let slot_end = slot_start + slot_len;
-            if slot_end <= *start || slot_start >= *end {
-                continue;
-            }
-            // count slots overlapping the incident window; spread evenly
-            let window_slots =
-                ((end.as_micros() - start.as_micros()) / slot_len.as_micros()).max(1);
-            let scaled = (*total_queries as f64 * self.scale.queries) as u64;
-            let quota = scaled / window_slots;
-            let fleet = self
-                .fleets
-                .iter()
-                .find(|f| f.spec.name == "google-public")
-                .unwrap_or(&self.fleets[0]);
-            for i in 0..quota {
-                let t =
-                    slot_start + SimDuration::from_micros(rng.gen_range(0..slot_len.as_micros()));
-                let resolver = &fleet.resolvers[fleet.pick(rng)];
-                let idx = domain_indices[(i % 2) as usize];
-                let qname = self.zone.registered_domain(idx);
-                let qtype = if i % 2 == 0 { RType::A } else { RType::Aaaa };
-                self.emit_exchange(
-                    fleet,
-                    resolver,
-                    &qname,
-                    qtype,
-                    self.zone.is_signed(idx),
-                    t,
-                    rng,
-                    rrl,
-                    buf,
-                    stats,
-                );
-            }
+impl Lane for SliceLane<'_> {
+    fn produce(&mut self, slot: usize) -> Part {
+        if slot % self.shards == self.shard {
+            self.engine.generate_slice(slot, self.plan)
+        } else {
+            Part::default()
         }
-        let _ = (slot, cum_weights);
     }
 }
 
@@ -941,7 +590,9 @@ mod tests {
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
     use dns_wire::message::Message;
-    use netbase::capture::CaptureReader;
+    use netbase::capture::{CaptureReader, CaptureRecord, Direction};
+    use netbase::flow::Transport;
+    use std::net::IpAddr;
 
     fn generate(vantage: Vantage, year: u16) -> (Engine, Vec<CaptureRecord>, DatasetStats) {
         let engine = Engine::new(dataset(vantage, year), Scale::tiny(), 42);

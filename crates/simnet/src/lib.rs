@@ -22,19 +22,23 @@
 //!   are encoded in [`profile`].
 //!
 //! The module map: [`profile`] (calibration tables), [`fleet`]
-//! (resolver fleets, Facebook sites, PTR zone), [`cache`] (TTL caches),
-//! [`auth`] (the authoritative responder), [`engine`] (the generation
-//! loop), [`scenario`] (the nine datasets plus the monthly series).
+//! (resolver fleets, Facebook sites, PTR zone), [`auth`] (the
+//! authoritative responder), [`engine`] (the calibrated generation
+//! loop), [`emerge`] (the algorithmic resolver fleet), [`drive`] (pull-mode
+//! sampling for live load), [`scenario`] (the nine datasets plus the
+//! monthly series). Both generators write the vantage capture through
+//! one private traffic plane: slot plan and scheduler, query half and
+//! vantage recorder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod auth;
-pub mod cache;
 pub mod drive;
 pub mod emerge;
 pub mod engine;
 pub mod fleet;
+mod plane;
 pub mod profile;
 pub mod ptr;
 pub mod rrl;

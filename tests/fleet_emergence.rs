@@ -113,3 +113,17 @@ fn fleet_cloud_share_matches_calibrated_within_3pp() {
         "fleet cloud share {fleet:.4} vs calibrated {cal:.4}"
     );
 }
+
+/// The fleet capture joins cleanly at ingest: every response, TC=1
+/// retries over TCP included, answers a query, and with no RRL in the
+/// dataset every query is answered.
+#[test]
+fn fleet_ingest_has_no_unanswered_or_unmatched_messages() {
+    let spec = dataset(Vantage::Nl, 2020);
+    assert!(spec.rrl.is_none());
+    let run = run_spec_with(spec, Scale::tiny(), 42, &PipelineOpts::with_fleet());
+    let stats = &run.ingest_stats;
+    assert!(stats.balanced(), "{stats:?}");
+    assert_eq!(stats.unmatched_responses, 0, "{stats:?}");
+    assert_eq!(stats.unanswered_queries, 0, "{stats:?}");
+}
