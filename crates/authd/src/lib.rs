@@ -14,16 +14,14 @@
 //!   declared directly against the platform libc — no new crates), a
 //!   portable `try_clone` fallback elsewhere, and a `poll(2)`-based
 //!   readiness wait for the TCP accept loop.
-//! - [`loadgen`] — a closed-loop load generator driven by
-//!   [`simnet::drive::Driver`], replaying the same fleet profiles
-//!   (per-CP qtype mixes, Q-min, EDNS sizes, dual-stack preferences)
-//!   the offline engine uses, with TCP fallback on truncation.
-//! - [`fleetgen`] — the *algorithmic* load generator: `--resolvers=N`
+//! - [`loadgen`] — the closed-loop load generator: worker threads, each
+//!   with one vantage client (logical-address preamble, id-matched UDP,
+//!   TCP retry on truncation), fed either by the calibrated
+//!   [`simnet::drive::Driver`] (the offline engine's fleet profiles,
+//!   qtype mixes, Q-min and EDNS sizes) or, with `--resolvers=N`, by N
 //!   concurrent [`resolver::IterativeResolver`] instances walking the
-//!   hierarchy over real sockets, with shared per-fleet caches, RTT
-//!   selection learned from measured socket latencies, and Q-min
-//!   flipping on the provider rollout date — the same resolver code
-//!   the offline fleet engine ([`simnet::emerge`]) runs in-process.
+//!   hierarchy — the same resolver code the offline fleet engine
+//!   ([`simnet::emerge`]) runs in-process.
 //! - [`tap`] — a capture tap mirroring every query/response the server
 //!   handles into the same `.dnscap` format, so live traffic flows
 //!   through the unchanged `entrada` → `core` analysis pipeline.
@@ -38,7 +36,6 @@
 //! No async runtime and no new dependencies: `std::net` blocking
 //! sockets, one thread per worker, `crossbeam` channels in between.
 
-pub mod fleetgen;
 pub mod live;
 pub mod loadgen;
 pub mod proxy;
@@ -49,7 +46,6 @@ pub mod sockets;
 pub mod stats;
 pub mod tap;
 
-pub use fleetgen::{run_fleetgen, FleetgenConfig, FleetgenReport};
 pub use live::{run_live, LiveConfig, LiveReport};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use obs::Histogram;

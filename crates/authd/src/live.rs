@@ -31,7 +31,7 @@ pub struct LiveConfig {
     pub udp_workers: usize,
     /// Server TCP worker threads.
     pub tcp_workers: usize,
-    /// Stop after this many queries.
+    /// Stop after this many vantage sends, TCP retries included.
     pub max_queries: Option<u64>,
     /// Stop after this long.
     pub duration: Option<Duration>,
@@ -39,10 +39,9 @@ pub struct LiveConfig {
     pub capture: PathBuf,
     /// Print a stats line to stderr this often (None = quiet).
     pub stats_interval: Option<Duration>,
-    /// Run the *algorithmic resolver fleet* ([`crate::fleetgen`]) with
-    /// this many concurrent resolver instances instead of the
-    /// calibrated replay loadgen. The capture tap and downstream
-    /// analysis are unchanged.
+    /// Drive the server with this many concurrent resolver instances
+    /// instead of the calibrated replay (see [`crate::loadgen`]). The
+    /// capture tap and downstream analysis are unchanged.
     pub resolvers: Option<usize>,
 }
 
@@ -76,9 +75,6 @@ pub struct LiveReport {
     pub client: StatsSnapshot,
     /// Capture records flushed to disk.
     pub records: u64,
-    /// Fleet-mode extras (`LiveConfig::resolvers`), absent on the
-    /// calibrated replay path.
-    pub fleet: Option<crate::fleetgen::FleetgenReport>,
 }
 
 /// Run the whole loop; returns once the capture is sealed on disk.
@@ -94,7 +90,7 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
     let client_stats = Stats::new();
     let started = Instant::now();
     let done = AtomicBool::new(false);
-    let report = crossbeam::thread::scope(|s| {
+    let loadgen = crossbeam::thread::scope(|s| {
         // The monitor always runs: it keeps the qps gauges fresh for
         // `--metrics-addr` scrapes, and additionally prints stats lines
         // when an interval was requested.
@@ -126,61 +122,31 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
                 }
             });
         }
-        let report = match config.resolvers {
-            Some(n) => {
-                let mut fg = crate::fleetgen::FleetgenConfig::new(
-                    config.spec.clone(),
-                    config.scale,
-                    config.seed,
-                    server.udp_addr(),
-                    server.tcp_addr(),
-                );
-                fg.resolvers = n;
-                fg.workers = config.loadgen_workers;
-                fg.max_queries = config.max_queries;
-                fg.duration = config.duration;
-                crate::fleetgen::run_fleetgen(&fg, &client_stats).map(|fleet| {
-                    (
-                        LoadgenReport {
-                            sent: fleet.sent,
-                            received: fleet.received,
-                            timeouts: fleet.timeouts,
-                            tcp_fallbacks: fleet.tcp_fallbacks,
-                            elapsed: fleet.elapsed,
-                        },
-                        Some(fleet),
-                    )
-                })
-            }
-            None => {
-                let mut lg = LoadgenConfig::new(
-                    config.spec.clone(),
-                    config.scale,
-                    config.seed,
-                    server.udp_addr(),
-                    server.tcp_addr(),
-                );
-                lg.workers = config.loadgen_workers;
-                lg.max_queries = config.max_queries;
-                lg.duration = config.duration;
-                run_loadgen(&lg, &client_stats).map(|r| (r, None))
-            }
-        };
+        let mut lg = LoadgenConfig::new(
+            config.spec.clone(),
+            config.scale,
+            config.seed,
+            server.udp_addr(),
+            server.tcp_addr(),
+        );
+        lg.workers = config.loadgen_workers;
+        lg.resolvers = config.resolvers;
+        lg.max_queries = config.max_queries;
+        lg.duration = config.duration;
+        let report = run_loadgen(&lg, &client_stats);
         done.store(true, Ordering::SeqCst);
         report
     })
     .expect("live threads do not panic")?;
-    let (loadgen_report, fleet) = report;
 
     let elapsed = started.elapsed().as_secs_f64();
     let server_snap = server.stats().snapshot(elapsed);
     let records = server.shutdown()?;
     Ok(LiveReport {
-        loadgen: loadgen_report,
+        loadgen,
         server: server_snap,
         client: client_stats.snapshot(elapsed),
         records,
-        fleet,
     })
 }
 
@@ -210,7 +176,9 @@ mod tests {
         config.tcp_workers = 1;
         let report = run_live(&config).unwrap();
         assert_eq!(report.loadgen.sent, report.client.sent);
-        assert!(report.loadgen.sent >= 300, "sent {}", report.loadgen.sent);
+        // each worker's last query adds at most a UDP send and a TCP retry
+        let sent = report.loadgen.sent;
+        assert!((300..300 + 2 * 2).contains(&sent), "sent {sent}");
         assert!(report.records > 0);
         assert!(report.server.queries() >= 300);
 
@@ -243,8 +211,15 @@ mod tests {
         config.udp_workers = 2;
         config.tcp_workers = 1;
         let report = run_live(&config).unwrap();
-        let fleet = report.fleet.expect("fleet mode reports fleet extras");
-        assert!(report.loadgen.sent >= 400, "sent {}", report.loadgen.sent);
+        let fleet = report.loadgen;
+        // each worker's last walk adds at most a UDP send and a TCP retry
+        // per exchange, and a walk makes at most the resolver's budget
+        let budget = u64::from(resolver::ResolverConfig::default().max_queries);
+        assert!(
+            (400..400 + 2 * 2 * budget).contains(&fleet.sent),
+            "sent {}",
+            fleet.sent
+        );
         assert!(report.records > 0);
         assert!(
             fleet.cache_hit_ratio > 0.0,

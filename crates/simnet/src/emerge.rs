@@ -51,7 +51,7 @@
 
 use crate::auth::{Answer, Authoritative, ServerSpec};
 use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
-use crate::fleet::Fleet;
+use crate::fleet::{Fleet, Resolver};
 use crate::plane::{
     self, incident_question, run_lanes, Delivery, Lane, Part, Path, Recorder, SlotPlan,
 };
@@ -169,12 +169,10 @@ pub fn sample_stimulus(
 pub struct SimTransport<'a> {
     zone: &'a ZoneModel,
     auth: &'a Authoritative,
-    servers: &'a [ServerSpec],
+    tiers: Tiers<'a>,
     incidents: &'a [Incident],
     fleet: &'a Fleet,
     rtt_hists: &'a [Arc<Histogram>],
-    cache_ttl_secs: u32,
-    root_zone: bool,
     /// The slot's RNG stream, RRL state, records and counters.
     rec: Recorder,
     /// Vantage query records emitted by the current stimulus.
@@ -199,12 +197,10 @@ impl<'a> SimTransport<'a> {
         SimTransport {
             zone: engine.zone(),
             auth: engine.auth(),
-            servers: &engine.spec().servers,
+            tiers: Tiers::new(engine),
             incidents: &engine.spec().incidents,
             fleet,
             rtt_hists,
-            cache_ttl_secs: fleet.spec.cache_ttl.as_secs().max(1) as u32,
-            root_zone: engine.zone().is_root_zone(),
             rec: Recorder::new(rng, rrl),
             emitted: 0,
             resolver_idx: 0,
@@ -228,20 +224,12 @@ impl<'a> SimTransport<'a> {
         self.start + self.elapsed
     }
 
-    fn families(&self) -> (bool, bool) {
-        let r = &self.fleet.resolvers[self.resolver_idx];
-        let has = |v: IpVersion| {
-            IpVersion::of(r.ip) == v || r.alt_ip.map(|a| IpVersion::of(a) == v).unwrap_or(false)
-        };
-        (has(IpVersion::V4), has(IpVersion::V6))
+    fn resolver(&self) -> &'a Resolver {
+        &self.fleet.resolvers[self.resolver_idx]
     }
 
-    /// The synthetic root's referral into the vantage zone. Glue is
-    /// family-filtered: a v6-only resolver only learns v6 vantage
-    /// addresses, so dual-stack preference stays emergent downstream.
     fn root_referral(&mut self, query: &Message) -> Exchange {
-        let (v4, v6) = self.families();
-        let message = synth_root_referral(self.zone, self.servers, v4, v6, query);
+        let message = self.tiers.root_referral(self.resolver(), query);
         self.elapsed = self.elapsed + SimDuration::from_micros(ROOT_RTT_US + HOP_GAP_US);
         Exchange::Answer {
             message,
@@ -297,7 +285,7 @@ impl<'a> SimTransport<'a> {
     fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange {
         let family = IpVersion::of(dst_ip);
         let fleet = self.fleet;
-        let r = &fleet.resolvers[self.resolver_idx];
+        let r = self.resolver();
         let path = Path {
             src: r.addr_for(family),
             dst: dst_ip,
@@ -326,8 +314,8 @@ impl<'a> SimTransport<'a> {
         // The wire records carry the 0x20-mixed name; the resolver-side
         // message keeps the clean name so Name equality in the walk is
         // unaffected (real resolvers compare case-insensitively).
-        let mixed = r.mix_case.then(|| {
-            let wire_qname = mix_case_0x20(qname, &mut self.rec.rng);
+        let (wire_qname, tcp) = vantage_draws(&fleet.spec, r, qname, &mut self.rec.rng);
+        let mixed = wire_qname.map(|wire_qname| {
             let mut q = query.clone();
             q.questions[0].qname = wire_qname.clone();
             let mut a = answer.message.clone();
@@ -340,7 +328,6 @@ impl<'a> SimTransport<'a> {
             Some((q, a)) => (q, a),
             None => (query, &answer.message),
         };
-        let tcp = plane::tcp_direct(&fleet.spec, r, &mut self.rec.rng);
         let delivery = self.rec.exchange(rec_query, rec_resp, path, t, tcp);
         self.emitted += delivery.queries();
         if self.junk_stimulus {
@@ -368,7 +355,7 @@ impl<'a> SimTransport<'a> {
     /// Positive answers carry the fleet's cache TTL so the shared
     /// cache absorbs repeat demand on the calibrated schedule.
     fn leaf_exchange(&mut self, query: &Message) -> Exchange {
-        let message = synth_leaf_answer(self.zone, self.cache_ttl_secs, query);
+        let message = self.tiers.leaf_answer(&self.fleet.spec, query);
         self.elapsed = self.elapsed + SimDuration::from_micros(LEAF_RTT_US + HOP_GAP_US);
         Exchange::Answer {
             message,
@@ -377,102 +364,201 @@ impl<'a> SimTransport<'a> {
     }
 }
 
-/// Build the synthetic root's referral into the vantage zone: one NS
-/// per dataset server, glue filtered to the resolver's address
-/// families. Shared by the offline [`SimTransport`] and the live
-/// loadgen transport (`authd`), so priming behaves identically on both
-/// paths.
-pub fn synth_root_referral(
-    zone: &ZoneModel,
-    servers: &[ServerSpec],
-    v4: bool,
-    v6: bool,
-    query: &Message,
-) -> Message {
-    let apex = zone.apex().clone();
-    let mut b = MessageBuilder::response(query, Rcode::NoError);
-    for (i, s) in servers.iter().enumerate() {
-        let ns = apex
-            .child(format!("ns{}", i + 1).as_bytes())
-            .unwrap_or_else(|_| apex.clone());
-        b = b.authority(apex.clone(), ROOT_NS_TTL, RData::Ns(ns.clone()));
-        if v4 {
-            b = b.additional(ns.clone(), ROOT_NS_TTL, RData::A(s.v4));
-        }
-        if v6 {
-            b = b.additional(ns, ROOT_NS_TTL, RData::Aaaa(s.v6));
-        }
-    }
-    b.build()
+/// The tier of a fleet resolver's walk that an address belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The synthetic root above the vantage zone (unrecorded).
+    Root,
+    /// Dataset server `i`: the recorded vantage.
+    Vantage(usize),
+    /// A registrant nameserver below the vantage cut (unrecorded).
+    Leaf,
 }
 
-/// Build a leaf (registrant) nameserver's answer below the vantage
-/// cut: deterministic addresses hashed from the qname, NS sets at the
-/// delegation, NODATA/NXDOMAIN with a synthetic SOA otherwise.
-/// Positive answers carry `cache_ttl_secs` so resolver caches absorb
-/// repeat demand on the fleet's calibrated TTL. Shared by the offline
-/// [`SimTransport`] and the live loadgen transport.
-pub fn synth_leaf_answer(zone: &ZoneModel, cache_ttl_secs: u32, query: &Message) -> Message {
-    let question = match query.question() {
-        Some(q) => q.clone(),
-        None => return MessageBuilder::response(query, Rcode::FormErr).build(),
-    };
-    let ttl = cache_ttl_secs;
-    let leaf_nodata = |qname: &Name| {
-        let cut = zone.minimized_qname(qname);
-        MessageBuilder::response(query, Rcode::NoError)
-            .authority(cut.clone(), 900, leaf_soa(&cut))
-            .build()
-    };
-    match zone.classify(&question.qname) {
-        Lookup::Delegated => {
-            let h = name_key(&question.qname);
-            match question.qtype {
-                RType::A => MessageBuilder::response(query, Rcode::NoError)
-                    .answer(
-                        question.qname.clone(),
-                        ttl,
-                        RData::A(Ipv4Addr::new(203, 0, 113, (h % 254 + 1) as u8)),
-                    )
-                    .build(),
-                RType::Aaaa => MessageBuilder::response(query, Rcode::NoError)
-                    .answer(
-                        question.qname.clone(),
-                        ttl,
-                        RData::Aaaa(Ipv6Addr::new(
-                            0x2001,
-                            0xdb8,
-                            0x100,
-                            0,
-                            0,
-                            0,
-                            0,
-                            (h % 65_535 + 1) as u16,
-                        )),
-                    )
-                    .build(),
-                RType::Ns => {
-                    let cut = zone.minimized_qname(&question.qname);
-                    let mut b = MessageBuilder::response(query, Rcode::NoError);
-                    for i in 0..2u8 {
-                        let ns = cut
-                            .child(format!("ns{}", i + 1).as_bytes())
-                            .unwrap_or_else(|_| cut.clone());
-                        b = b.answer(question.qname.clone(), ttl, RData::Ns(ns));
-                    }
-                    b.build()
-                }
-                _ => leaf_nodata(&question.qname),
-            }
-        }
-        Lookup::InZone => leaf_nodata(&question.qname),
-        Lookup::NxDomain => {
-            let cut = zone.minimized_qname(&question.qname);
-            MessageBuilder::response(query, Rcode::NxDomain)
-                .authority(cut.clone(), 900, leaf_soa(&cut))
-                .build()
+/// The three-tier world a fleet resolver walks, minus the vantage:
+/// which tier an address is, where a cold walk starts, and the
+/// synthetic root and leaf answers. Shared by the offline
+/// [`SimTransport`] and the live loadgen transport (`authd`), so both
+/// route and prime identically and differ only in how the vantage
+/// tier is reached.
+#[derive(Clone, Copy)]
+pub struct Tiers<'a> {
+    zone: &'a ZoneModel,
+    servers: &'a [ServerSpec],
+    root_zone: bool,
+}
+
+impl<'a> Tiers<'a> {
+    /// The tiers of `engine`'s dataset.
+    pub fn new(engine: &'a Engine) -> Tiers<'a> {
+        Tiers {
+            zone: engine.zone(),
+            servers: &engine.spec().servers,
+            root_zone: engine.zone().is_root_zone(),
         }
     }
+
+    /// Which tier answers `server`.
+    pub fn route(&self, server: IpAddr) -> Tier {
+        if !self.root_zone && (server == ROOT_V4 || server == ROOT_V6) {
+            return Tier::Root;
+        }
+        match self
+            .servers
+            .iter()
+            .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
+        {
+            Some(si) => Tier::Vantage(si),
+            None => Tier::Leaf,
+        }
+    }
+
+    /// The priming hints for `resolver`, filtered to its address
+    /// families. When the vantage *is* the root (B-Root datasets),
+    /// priming goes straight to the recorded servers.
+    pub fn root_servers(&self, resolver: &Resolver) -> Vec<IpAddr> {
+        let (v4, v6) = resolver.families();
+        let mut out = Vec::new();
+        if self.root_zone {
+            for s in self.servers {
+                if v4 {
+                    out.push(IpAddr::V4(s.v4));
+                }
+                if v6 {
+                    out.push(IpAddr::V6(s.v6));
+                }
+            }
+            return out;
+        }
+        if v4 {
+            out.push(ROOT_V4);
+        }
+        if v6 {
+            out.push(ROOT_V6);
+        }
+        out
+    }
+
+    /// The synthetic root's referral into the vantage zone: one NS per
+    /// dataset server. Glue is filtered to `resolver`'s families: a
+    /// v6-only resolver only learns v6 vantage addresses, so dual-stack
+    /// preference stays emergent downstream.
+    pub fn root_referral(&self, resolver: &Resolver, query: &Message) -> Message {
+        let (v4, v6) = resolver.families();
+        let apex = self.zone.apex().clone();
+        let mut b = MessageBuilder::response(query, Rcode::NoError);
+        for (i, s) in self.servers.iter().enumerate() {
+            let ns = apex
+                .child(format!("ns{}", i + 1).as_bytes())
+                .unwrap_or_else(|_| apex.clone());
+            b = b.authority(apex.clone(), ROOT_NS_TTL, RData::Ns(ns.clone()));
+            if v4 {
+                b = b.additional(ns.clone(), ROOT_NS_TTL, RData::A(s.v4));
+            }
+            if v6 {
+                b = b.additional(ns, ROOT_NS_TTL, RData::Aaaa(s.v6));
+            }
+        }
+        b.build()
+    }
+
+    /// A leaf (registrant) nameserver's answer below the vantage cut:
+    /// deterministic addresses hashed from the qname, NS sets at the
+    /// delegation, NODATA/NXDOMAIN with a synthetic SOA otherwise.
+    /// Positive answers carry the fleet's cache TTL so resolver caches
+    /// absorb repeat demand on the calibrated schedule.
+    pub fn leaf_answer(&self, fleet: &FleetSpec, query: &Message) -> Message {
+        let zone = self.zone;
+        let question = match query.question() {
+            Some(q) => q.clone(),
+            None => return MessageBuilder::response(query, Rcode::FormErr).build(),
+        };
+        let ttl = fleet.cache_ttl.as_secs().max(1) as u32;
+        let leaf_nodata = |qname: &Name| {
+            let cut = zone.minimized_qname(qname);
+            MessageBuilder::response(query, Rcode::NoError)
+                .authority(cut.clone(), 900, leaf_soa(&cut))
+                .build()
+        };
+        match zone.classify(&question.qname) {
+            Lookup::Delegated => {
+                let h = name_key(&question.qname);
+                match question.qtype {
+                    RType::A => MessageBuilder::response(query, Rcode::NoError)
+                        .answer(
+                            question.qname.clone(),
+                            ttl,
+                            RData::A(Ipv4Addr::new(203, 0, 113, (h % 254 + 1) as u8)),
+                        )
+                        .build(),
+                    RType::Aaaa => MessageBuilder::response(query, Rcode::NoError)
+                        .answer(
+                            question.qname.clone(),
+                            ttl,
+                            RData::Aaaa(Ipv6Addr::new(
+                                0x2001,
+                                0xdb8,
+                                0x100,
+                                0,
+                                0,
+                                0,
+                                0,
+                                (h % 65_535 + 1) as u16,
+                            )),
+                        )
+                        .build(),
+                    RType::Ns => {
+                        let cut = zone.minimized_qname(&question.qname);
+                        let mut b = MessageBuilder::response(query, Rcode::NoError);
+                        for i in 0..2u8 {
+                            let ns = cut
+                                .child(format!("ns{}", i + 1).as_bytes())
+                                .unwrap_or_else(|_| cut.clone());
+                            b = b.answer(question.qname.clone(), ttl, RData::Ns(ns));
+                        }
+                        b.build()
+                    }
+                    _ => leaf_nodata(&question.qname),
+                }
+            }
+            Lookup::InZone => leaf_nodata(&question.qname),
+            Lookup::NxDomain => {
+                let cut = zone.minimized_qname(&question.qname);
+                MessageBuilder::response(query, Rcode::NxDomain)
+                    .authority(cut.clone(), 900, leaf_soa(&cut))
+                    .build()
+            }
+        }
+    }
+}
+
+/// The resolver-side draws of one vantage exchange, in the offline
+/// order: the 0x20-mixed qname (None when the resolver does not mix
+/// case), then whether the query goes over TCP outright. Shared by the
+/// offline [`SimTransport`] and the live loadgen transport.
+pub fn vantage_draws(
+    fleet: &FleetSpec,
+    resolver: &Resolver,
+    qname: &Name,
+    rng: &mut StdRng,
+) -> (Option<Name>, bool) {
+    let mixed = resolver.mix_case.then(|| mix_case_0x20(qname, rng));
+    (mixed, plane::tcp_direct(fleet, resolver, rng))
+}
+
+/// A fleet resolver instance for `profile`: its EDNS size and DO bit,
+/// Q-min as given, attached to the fleet's shared cache. Offline and
+/// live fleets build their resolvers here.
+pub fn fleet_resolver(profile: &Resolver, qmin: bool, cache: &SharedCache) -> IterativeResolver {
+    let mut r = IterativeResolver::new(ResolverConfig {
+        qmin,
+        edns_size: profile.edns_size,
+        do_bit: profile.do_bit,
+        ..Default::default()
+    });
+    r.attach_shared_cache(cache.clone());
+    r.set_log_enabled(false);
+    r
 }
 
 /// Per-nameserver RTT histograms (`resolver_ns_rtt_us_<server>`) in the
@@ -519,43 +605,15 @@ fn leaf_soa(cut: &Name) -> RData {
 
 impl Transport for SimTransport<'_> {
     fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
-        if !self.root_zone && (server == ROOT_V4 || server == ROOT_V6) {
-            return self.root_referral(query);
+        match self.tiers.route(server) {
+            Tier::Root => self.root_referral(query),
+            Tier::Vantage(si) => self.vantage_exchange(si, server, query),
+            Tier::Leaf => self.leaf_exchange(query),
         }
-        if let Some(si) = self
-            .servers
-            .iter()
-            .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
-        {
-            return self.vantage_exchange(si, server, query);
-        }
-        self.leaf_exchange(query)
     }
 
     fn root_servers(&self) -> Vec<IpAddr> {
-        let (v4, v6) = self.families();
-        if self.root_zone {
-            // the vantage *is* the root (B-Root datasets): priming goes
-            // straight to the recorded servers
-            let mut out = Vec::new();
-            for s in self.servers {
-                if v4 {
-                    out.push(IpAddr::V4(s.v4));
-                }
-                if v6 {
-                    out.push(IpAddr::V6(s.v6));
-                }
-            }
-            return out;
-        }
-        let mut out = Vec::new();
-        if v4 {
-            out.push(ROOT_V4);
-        }
-        if v6 {
-            out.push(ROOT_V6);
-        }
-        out
+        self.tiers.root_servers(self.resolver())
     }
 }
 
@@ -636,18 +694,10 @@ impl<'a> FleetStream<'a> {
         let fleet = &self.engine.fleets()[self.fi];
         let r_idx = fleet.pick(&mut tr.rec.rng);
         let shared = &self.shared;
-        let res = self.resolvers.entry(r_idx).or_insert_with(|| {
-            let prof = &fleet.resolvers[r_idx];
-            let mut r = IterativeResolver::new(ResolverConfig {
-                qmin,
-                edns_size: prof.edns_size,
-                do_bit: prof.do_bit,
-                ..Default::default()
-            });
-            r.attach_shared_cache(shared.clone());
-            r.set_log_enabled(false);
-            r
-        });
+        let res = self
+            .resolvers
+            .entry(r_idx)
+            .or_insert_with(|| fleet_resolver(&fleet.resolvers[r_idx], qmin, shared));
         res.set_qmin(qmin);
         res.set_now_micros(t.as_micros());
         tr.begin(r_idx, t, junk);

@@ -47,6 +47,14 @@ impl Resolver {
         }
     }
 
+    /// Which address families this resolver can send from: `(v4, v6)`.
+    pub fn families(&self) -> (bool, bool) {
+        let has = |v: IpVersion| {
+            IpVersion::of(self.ip) == v || self.alt_ip.is_some_and(|a| IpVersion::of(a) == v)
+        };
+        (has(IpVersion::V4), has(IpVersion::V6))
+    }
+
     /// RTT to `server` over `version`, in microseconds.
     pub fn rtt_us(&self, server: usize, version: IpVersion) -> u32 {
         match version {

@@ -180,7 +180,11 @@ const VALUE_FLAGS: &[(&str, &str, &str)] = &[
         "3s|500ms|2m",
         "serve/loadgen/live: stop after this long",
     ),
-    ("--queries", "N", "loadgen/live: stop after N queries"),
+    (
+        "--queries",
+        "N",
+        "loadgen/live: stop after N queries sent to the server, TCP retries included",
+    ),
     (
         "--resolvers",
         "N",
@@ -965,43 +969,15 @@ fn loadgen_cli(
     if config.max_queries.is_none() && config.duration.is_none() {
         config.max_queries = Some(10_000);
     }
+    config.resolvers = parsed_flag(flags, "--resolvers", "a count")?;
 
     authd::signal::install();
     let stats = authd::Stats::new();
-    if let Some(resolvers) = parsed_flag(flags, "--resolvers", "a count")? {
-        let mut fg = authd::FleetgenConfig::new(
-            config.spec.clone(),
-            config.scale,
-            config.seed,
-            config.server_udp,
-            config.server_tcp,
-        );
-        fg.resolvers = resolvers;
-        fg.workers = config.workers;
-        fg.max_queries = config.max_queries;
-        fg.duration = config.duration;
-        let report = authd::run_fleetgen(&fg, &stats).expect("fleetgen runs");
-        println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
-        println!(
-            "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
-            resolvers,
-            report.cache_hit_ratio,
-            report.stimuli,
-            report.resolver_retries,
-            report.resolver_timeouts
-        );
-        println!(
-            "sent {} received {} timeouts {} tcp-fallbacks {} in {:.2}s",
-            report.sent,
-            report.received,
-            report.timeouts,
-            report.tcp_fallbacks,
-            report.elapsed.as_secs_f64()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let report = authd::run_loadgen(&config, &stats).expect("loadgen runs");
+    let report = authd::run_loadgen(&config, &stats).map_err(|e| format!("loadgen: {e}"))?;
     println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
+    if let Some(resolvers) = config.resolvers {
+        print_fleet_line(resolvers, &report);
+    }
     println!(
         "sent {} received {} timeouts {} tcp-fallbacks {} in {:.2}s",
         report.sent,
@@ -1011,6 +987,19 @@ fn loadgen_cli(
         report.elapsed.as_secs_f64()
     );
     Ok(ExitCode::SUCCESS)
+}
+
+/// The resolver-fleet summary line `loadgen` and `live` print with
+/// `--resolvers=N`.
+fn print_fleet_line(resolvers: usize, report: &authd::LoadgenReport) {
+    println!(
+        "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
+        resolvers,
+        report.cache_hit_ratio,
+        report.stimuli,
+        report.resolver_retries,
+        report.resolver_timeouts
+    );
 }
 
 /// Serve + loadgen over loopback, seal the tap, then run the standard
@@ -1048,7 +1037,7 @@ fn live_cli(
     config.resolvers = parsed_flag(flags, "--resolvers", "a count")?;
 
     authd::signal::install();
-    let report = authd::run_live(&config).expect("live loop runs");
+    let report = authd::run_live(&config).map_err(|e| format!("live {out}: {e}"))?;
     println!(
         "live: sent {} ({} tcp-fallbacks, {} timeouts), served {} ({} udp / {} tcp), \
          {} capture records -> {out}",
@@ -1062,15 +1051,8 @@ fn live_cli(
     );
     println!("serve  | {}", report.server);
     println!("loadgen| {}", report.client);
-    if let Some(fleet) = &report.fleet {
-        println!(
-            "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
-            config.resolvers.unwrap_or(0),
-            fleet.cache_hit_ratio,
-            fleet.stimuli,
-            fleet.resolver_retries,
-            fleet.resolver_timeouts
-        );
+    if let Some(resolvers) = config.resolvers {
+        print_fleet_line(resolvers, &report.loadgen);
     }
     if report.records == 0 {
         eprintln!("live run produced an empty capture");
@@ -1078,7 +1060,7 @@ fn live_cli(
     }
 
     let (analysis, dualstack, ingest) =
-        analyze_capture(&spec, scale, seed, Path::new(out)).expect("live capture analyzes");
+        analyze_capture(&spec, scale, seed, Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
     print_dataset_report(&spec.id(), vantage, &analysis, &dualstack, &spec);
     eprintln!(
         "[ingest: {} frames, {} malformed, {} unanswered, {} capture errors]",

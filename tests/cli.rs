@@ -146,6 +146,10 @@ fn bad_flag_values_fail_with_friendly_errors() {
         ),
         (&["dataset", "mars", "2020"][..], "unknown vantage"),
         (&["dataset", "nl", "twenty"][..], "year must be a number"),
+        (
+            &["live", "nl", "2020", "no-such-dir/x.dnscap", "--scale=tiny"][..],
+            "live no-such-dir/x.dnscap:",
+        ),
     ] {
         let out = bin().args(args).output().expect("runs");
         assert!(!out.status.success(), "{args:?} should fail");

@@ -1,7 +1,8 @@
 //! End-to-end live loop: serve + loadgen over loopback, ingest the
 //! live capture tap through the unchanged offline analysis, and check
 //! that cloud attribution matches an offline generate+analyze run of
-//! the same dataset within 2 percentage points absolute. Plus the RRL
+//! the same dataset within 2 percentage points absolute. The resolver
+//! fleet's live capture must ingest as cleanly. Plus the RRL
 //! evidence chain: a dropped response must leave a query-with-no-
 //! response in the capture, which ingest classifies as unanswered.
 
@@ -63,6 +64,46 @@ fn live_capture_matches_offline_cloud_shares() {
             "{provider:?} share diverged: live {l:.4} vs offline {o:.4}"
         );
     }
+
+    std::fs::remove_file(&capture).ok();
+}
+
+/// Fleet mode (`resolvers`): real resolver walks over real sockets
+/// leave a capture that ingests with every query answered, and the
+/// resolvers' direct-TCP draws reach the server, which therefore serves
+/// more TCP queries than the client's TC=1 retries account for.
+#[test]
+fn fleet_live_capture_ingests_cleanly_and_sends_direct_tcp() {
+    // about 0.6% of the fleet's vantage exchanges at this seed go over
+    // TCP outright, so 1,600 sends expect about 10 direct-TCP queries
+    const FLEET_QUERIES: u64 = 1_600;
+    let spec = dataset(Vantage::Nl, 2020);
+    let scale = Scale::tiny();
+    let seed = 42;
+    let dir = std::env::temp_dir().join("dnscentral-live-loop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = dir.join("fleet-loop.dnscap");
+
+    let mut config = LiveConfig::new(spec.clone(), scale, seed, capture.clone());
+    config.max_queries = Some(FLEET_QUERIES);
+    config.resolvers = Some(16);
+    let report = run_live(&config).expect("fleet live loop runs");
+    assert!(
+        report.loadgen.sent >= FLEET_QUERIES,
+        "sent {}",
+        report.loadgen.sent
+    );
+
+    let (_live, _dualstack, ingest) =
+        analyze_capture(&spec, scale, seed, &capture).expect("fleet capture analyzes");
+    assert_eq!(ingest.malformed, 0, "fleet tap wrote malformed frames");
+    assert_eq!(ingest.unanswered_queries, 0, "unpaired query records");
+    assert!(
+        report.server.tcp_queries > report.loadgen.tcp_fallbacks,
+        "no direct TCP: server tcp {} vs client fallbacks {}",
+        report.server.tcp_queries,
+        report.loadgen.tcp_fallbacks
+    );
 
     std::fs::remove_file(&capture).ok();
 }
