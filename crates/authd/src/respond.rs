@@ -401,6 +401,10 @@ impl Responder {
                 truncated,
                 slipped,
             } => {
+                // copy rather than adopt `bytes`: `out` keeps the largest
+                // capacity it has needed, so later hits never grow it
+                out.clear();
+                out.extend_from_slice(&bytes);
                 if !slipped && bytes.len() <= MAX_CACHED_RESP {
                     if let (Some(shape), Some(idx)) = (shape, idx) {
                         // with an OPT present its option-less 11-byte
@@ -441,7 +445,7 @@ impl Responder {
                                     *vacant = Some(CacheEntry {
                                         key: payload[2..].to_vec(),
                                         transport,
-                                        resp: bytes.clone(),
+                                        resp: bytes,
                                         truncated,
                                         qname_len: shape.qname_len,
                                         has_edns: shape.has_opt,
@@ -452,7 +456,6 @@ impl Responder {
                         }
                     }
                 }
-                *out = bytes;
                 OutcomeRef::Reply {
                     bytes: out,
                     truncated,

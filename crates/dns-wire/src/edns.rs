@@ -67,19 +67,9 @@ impl Edns {
         rdata: &[u8],
     ) -> Result<Edns, WireError> {
         let mut options = Vec::new();
-        let mut pos = 0usize;
-        while pos < rdata.len() {
-            if pos + 4 > rdata.len() {
-                return Err(WireError::Truncated { offset: pos });
-            }
-            let code = u16::from_be_bytes([rdata[pos], rdata[pos + 1]]);
-            let len = u16::from_be_bytes([rdata[pos + 2], rdata[pos + 3]]) as usize;
-            if pos + 4 + len > rdata.len() {
-                return Err(WireError::Truncated { offset: pos + 4 });
-            }
-            options.push((code, rdata[pos + 4..pos + 4 + len].to_vec()));
-            pos += 4 + len;
-        }
+        walk_options(rdata, |code, payload| {
+            options.push((code, payload.to_vec()))
+        })?;
         Ok(Edns {
             udp_payload_size: class_field,
             extended_rcode_bits: (ttl_field >> 24) as u8,
@@ -87,6 +77,12 @@ impl Edns {
             dnssec_ok: ttl_field & 0x8000 != 0,
             options,
         })
+    }
+
+    /// [`Edns::from_record_fields`]'s checks on the OPT RDATA, building
+    /// nothing.
+    pub(crate) fn check_options(rdata: &[u8]) -> Result<(), WireError> {
+        walk_options(rdata, |_, _| {})
     }
 
     /// Encode as a full additional-section record (owner = root).
@@ -106,20 +102,38 @@ impl Edns {
             ttl |= 0x8000;
         }
         out.extend_from_slice(&ttl.to_be_bytes());
-        let mut rdata = Vec::new();
+        let rdlen = self.encoded_len() - 11;
+        out.extend_from_slice(&(rdlen as u16).to_be_bytes());
         for (code, payload) in &self.options {
-            rdata.extend_from_slice(&code.to_be_bytes());
-            rdata.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-            rdata.extend_from_slice(payload);
+            out.extend_from_slice(&code.to_be_bytes());
+            out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+            out.extend_from_slice(payload);
         }
-        out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-        out.extend_from_slice(&rdata);
     }
 
     /// Encoded size in octets.
     pub fn encoded_len(&self) -> usize {
         11 + self.options.iter().map(|(_, p)| 4 + p.len()).sum::<usize>()
     }
+}
+
+/// Walk the `(code, payload)` options of OPT RDATA, checking each
+/// option's framing.
+fn walk_options(rdata: &[u8], mut visit: impl FnMut(u16, &[u8])) -> Result<(), WireError> {
+    let mut pos = 0usize;
+    while pos < rdata.len() {
+        if pos + 4 > rdata.len() {
+            return Err(WireError::Truncated { offset: pos });
+        }
+        let code = u16::from_be_bytes([rdata[pos], rdata[pos + 1]]);
+        let len = u16::from_be_bytes([rdata[pos + 2], rdata[pos + 3]]) as usize;
+        if pos + 4 + len > rdata.len() {
+            return Err(WireError::Truncated { offset: pos + 4 });
+        }
+        visit(code, &rdata[pos + 4..pos + 4 + len]);
+        pos += 4 + len;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,9 +3,18 @@
 use crate::edns::Edns;
 use crate::error::WireError;
 use crate::header::{Header, HEADER_LEN};
-use crate::name::{Name, NameCompressor, NameEncoder, ReusableCompressor};
+use crate::name::{Name, NameEncoder, ReusableCompressor};
 use crate::rdata::RData;
 use crate::types::{RClass, RType, Rcode};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The compressor and output buffer behind [`Message::encode`] and
+    /// [`Message::encode_with_limit`]: reused, so the only allocation of
+    /// an encode is the returned `Vec`.
+    static ENCODER: RefCell<(ReusableCompressor, Vec<u8>)> =
+        RefCell::new((ReusableCompressor::new(), Vec::new()));
+}
 
 /// A question-section entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -26,23 +35,6 @@ impl Question {
             qtype,
             qclass: RClass::In,
         }
-    }
-
-    fn parse(msg: &[u8], pos: usize) -> Result<(Question, usize), WireError> {
-        let (qname, p) = Name::parse(msg, pos)?;
-        if p + 4 > msg.len() {
-            return Err(WireError::Truncated { offset: msg.len() });
-        }
-        let qtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
-        let qclass = RClass::from_u16(u16::from_be_bytes([msg[p + 2], msg[p + 3]]));
-        Ok((
-            Question {
-                qname,
-                qtype,
-                qclass,
-            },
-            p + 4,
-        ))
     }
 
     fn encode<C: NameEncoder>(&self, comp: &mut C, out: &mut Vec<u8>) {
@@ -134,62 +126,23 @@ impl Message {
 
     /// Parse a message from wire bytes.
     pub fn parse(msg: &[u8]) -> Result<Message, WireError> {
-        let (mut header, counts) = Header::parse(msg)?;
-        let mut pos = HEADER_LEN;
-
-        let mut questions = Vec::with_capacity(counts[0] as usize);
-        for _ in 0..counts[0] {
-            let (q, p) = Question::parse(msg, pos).map_err(|e| section_err(e, "question"))?;
-            questions.push(q);
-            pos = p;
-        }
-
+        let mut questions = Vec::new();
         let mut sections: [Vec<Record>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut edns: Option<Edns> = None;
-        for (si, count) in counts[1..].iter().enumerate() {
-            let section_name = ["answer", "authority", "additional"][si];
-            for _ in 0..*count {
-                let (name, p) = Name::parse(msg, pos).map_err(|e| section_err(e, section_name))?;
-                if p + 10 > msg.len() {
-                    return Err(WireError::Truncated { offset: msg.len() });
-                }
-                let rtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
-                let class_field = u16::from_be_bytes([msg[p + 2], msg[p + 3]]);
-                let ttl_field =
-                    u32::from_be_bytes([msg[p + 4], msg[p + 5], msg[p + 6], msg[p + 7]]);
-                let rdlen = u16::from_be_bytes([msg[p + 8], msg[p + 9]]) as usize;
-                let rdata_start = p + 10;
-                if rdata_start + rdlen > msg.len() {
-                    return Err(WireError::Truncated { offset: msg.len() });
-                }
-                if rtype == RType::Opt {
-                    if si != 2 || edns.is_some() || !name.is_root() {
-                        return Err(WireError::MalformedEdns);
-                    }
-                    let e = Edns::from_record_fields(
-                        class_field,
-                        ttl_field,
-                        &msg[rdata_start..rdata_start + rdlen],
-                    )?;
-                    // Merge extended rcode: high 8 bits from OPT, low 4
-                    // from the header (RFC 6891 §6.1.3).
-                    if e.extended_rcode_bits != 0 {
-                        let low = header.rcode.to_u16() & 0x0f;
-                        header.rcode = Rcode::from_u16(((e.extended_rcode_bits as u16) << 4) | low);
-                    }
-                    edns = Some(e);
-                } else {
-                    let rdata = RData::parse(rtype, msg, rdata_start, rdlen)?;
-                    sections[si].push(Record {
-                        name,
-                        class: RClass::from_u16(class_field),
-                        ttl: ttl_field,
-                        rdata,
-                    });
-                }
-                pos = rdata_start + rdlen;
-            }
-        }
+        let mut edns = None;
+        let header = walk::<Build>(msg, |entry| match entry {
+            Entry::Question(qname, qtype, qclass) => questions.push(Question {
+                qname,
+                qtype,
+                qclass,
+            }),
+            Entry::Record(si, name, class, ttl, rdata) => sections[si].push(Record {
+                name,
+                class,
+                ttl,
+                rdata,
+            }),
+            Entry::Edns(e) => edns = Some(e),
+        })?;
         let [answers, authorities, additionals] = sections;
         Ok(Message {
             header,
@@ -201,14 +154,23 @@ impl Message {
         })
     }
 
+    /// Read a message through its header: every check of
+    /// [`Message::parse`] (so `Err` exactly when `parse` fails), but no
+    /// name, record or option is built. Returns the header with the
+    /// OPT's extended-rcode bits merged into `rcode`, as `parse` does —
+    /// what a response contributes to a joined query row.
+    pub fn parse_header(msg: &[u8]) -> Result<Header, WireError> {
+        walk::<Check>(msg, |_| {})
+    }
+
     /// Encode to wire bytes with name compression. No size limit — for
     /// TCP, or as the first step of [`Message::encode_with_limit`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_inner(
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-        )
+        ENCODER.with(|cell| {
+            let (comp, buf) = &mut *cell.borrow_mut();
+            self.encode_into(comp, buf)?;
+            Ok(buf.to_vec())
+        })
     }
 
     /// Encode for UDP under a payload-size limit.
@@ -220,50 +182,78 @@ impl Message {
     /// is the mechanism behind the paper's truncation-rate comparison
     /// (Facebook 17.16% vs Google 0.04%, §4.4).
     pub fn encode_with_limit(&self, limit: usize) -> Result<(Vec<u8>, bool), WireError> {
-        let full = self.encode()?;
-        if full.len() <= limit {
-            return Ok((full, false));
-        }
-        // Drop records from the tail until it fits.
-        let mut an = self.answers.len();
-        let mut ns = self.authorities.len();
-        let mut ar = self.additionals.len();
-        loop {
-            if ar > 0 {
-                ar -= 1;
-            } else if ns > 0 {
-                ns -= 1;
-            } else if an > 0 {
-                an -= 1;
-            } else {
-                let mut msg = self.clone();
-                msg.header.truncated = true;
-                msg.answers.clear();
-                msg.authorities.clear();
-                msg.additionals.clear();
-                let bytes = msg.encode()?;
-                if bytes.len() > limit {
-                    return Err(WireError::WontFit { limit });
-                }
-                return Ok((bytes, true));
-            }
-            let mut msg = self.clone();
-            msg.header.truncated = true;
-            msg.answers.truncate(an);
-            msg.authorities.truncate(ns);
-            msg.additionals.truncate(ar);
-            let bytes = msg.encode_inner(an, ns, ar)?;
-            if bytes.len() <= limit {
-                return Ok((bytes, true));
-            }
-        }
+        ENCODER.with(|cell| {
+            let (comp, buf) = &mut *cell.borrow_mut();
+            self.encode_into(comp, buf)?;
+            let truncated = self.fit_encoded(buf, limit)?;
+            Ok((buf.to_vec(), truncated))
+        })
     }
 
-    fn encode_inner(&self, an: usize, ns: usize, ar: usize) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::with_capacity(512);
-        let mut comp = NameCompressor::new();
-        self.encode_sections(an, ns, ar, &mut comp, &mut out)?;
-        Ok(out)
+    /// Truncate `wire`, this message's encoding, to `limit` octets the
+    /// way [`Message::encode_with_limit`] does, without encoding again:
+    /// keep the longest run of records (answer, authority, additional
+    /// order) that fits with the OPT record re-appended. Returns whether
+    /// it truncated; [`WireError::WontFit`] when even the header,
+    /// question and OPT exceed `limit`.
+    pub fn fit_encoded(&self, wire: &mut Vec<u8>, limit: usize) -> Result<bool, WireError> {
+        if wire.len() <= limit {
+            return Ok(false);
+        }
+        let opt_len = self.edns.as_ref().map_or(0, Edns::encoded_len);
+        let mut end = self.questions_end(wire);
+        if end + opt_len > limit {
+            return Err(WireError::WontFit { limit });
+        }
+        let mut keep = 0;
+        loop {
+            let next = skip_record(wire, end);
+            if next + opt_len > limit {
+                break;
+            }
+            end = next;
+            keep += 1;
+        }
+        self.cut_at(wire, keep, end);
+        Ok(true)
+    }
+
+    /// Cut `wire`, this message's encoding, to its first `keep` records
+    /// (answer, authority, additional order) with the OPT record
+    /// re-appended and TC set: the bytes of a copy of the message with
+    /// the other records removed and `header.truncated` set, encoded.
+    /// `keep = 0` is an RRL slip.
+    pub fn truncate_encoded(&self, wire: &mut Vec<u8>, keep: usize) {
+        let mut end = self.questions_end(wire);
+        for _ in 0..keep {
+            end = skip_record(wire, end);
+        }
+        self.cut_at(wire, keep, end);
+    }
+
+    /// End offset of the question section in this message's encoding.
+    fn questions_end(&self, wire: &[u8]) -> usize {
+        let mut pos = HEADER_LEN;
+        for _ in &self.questions {
+            pos = skip_encoded_name(wire, pos) + 4;
+        }
+        pos
+    }
+
+    /// Move the OPT record (the tail of `wire`) to `end`, where the
+    /// first `keep` records end, then patch the counts and set TC.
+    fn cut_at(&self, wire: &mut Vec<u8>, keep: usize, end: usize) {
+        let opt_len = self.edns.as_ref().map_or(0, Edns::encoded_len);
+        let opt_at = wire.len() - opt_len;
+        wire.copy_within(opt_at.., end);
+        wire.truncate(end + opt_len);
+        let an = keep.min(self.answers.len());
+        let ns = (keep - an).min(self.authorities.len());
+        let ar = keep - an - ns + usize::from(self.edns.is_some());
+        for (i, count) in [an, ns, ar].into_iter().enumerate() {
+            wire[6 + 2 * i..8 + 2 * i].copy_from_slice(&(count as u16).to_be_bytes());
+        }
+        wire[2] |= 0x02; // TC
     }
 
     /// Encode into caller-owned buffers, reusing their capacity: `out`
@@ -277,20 +267,13 @@ impl Message {
     ) -> Result<(), WireError> {
         out.clear();
         comp.reset();
-        self.encode_sections(
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-            comp,
-            out,
-        )
+        self.encode_sections(comp, out)
     }
 
-    fn encode_sections<C: NameEncoder>(
+    /// Encode every section through `comp` (the oracle tests pass the
+    /// reference compressor here).
+    pub(crate) fn encode_sections<C: NameEncoder>(
         &self,
-        an: usize,
-        ns: usize,
-        ar: usize,
         comp: &mut C,
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
@@ -298,22 +281,21 @@ impl Message {
         self.header.encode(
             [
                 self.questions.len() as u16,
-                an as u16,
-                ns as u16,
-                (ar + opt_count) as u16,
+                self.answers.len() as u16,
+                self.authorities.len() as u16,
+                (self.additionals.len() + opt_count) as u16,
             ],
             out,
         );
         for q in &self.questions {
             q.encode(comp, out);
         }
-        for r in self.answers.iter().take(an) {
-            r.encode(comp, out)?;
-        }
-        for r in self.authorities.iter().take(ns) {
-            r.encode(comp, out)?;
-        }
-        for r in self.additionals.iter().take(ar) {
+        for r in self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+        {
             r.encode(comp, out)?;
         }
         if let Some(edns) = &self.edns {
@@ -328,6 +310,164 @@ impl Message {
     }
 }
 
+/// Position just past a name in well-formed encoder output.
+fn skip_encoded_name(wire: &[u8], mut pos: usize) -> usize {
+    loop {
+        match wire[pos] {
+            0 => return pos + 1,
+            b if b & 0xc0 == 0xc0 => return pos + 2,
+            b => pos += 1 + b as usize,
+        }
+    }
+}
+
+/// Position just past the record at `pos` in well-formed encoder output.
+fn skip_record(wire: &[u8], pos: usize) -> usize {
+    let p = skip_encoded_name(wire, pos);
+    p + 10 + u16::from_be_bytes([wire[p + 8], wire[p + 9]]) as usize
+}
+
+/// How a section walk decodes what it visits: [`Build`] into owned
+/// values for [`Message::parse`], [`Check`] into nothing for
+/// [`Message::parse_header`]. Every check lives in [`walk`] and in the
+/// `Name`/`RData`/`Edns` checks both decoders call, so the two accept
+/// exactly the same inputs.
+trait Decode {
+    type Name;
+    type RData;
+    type Edns;
+    fn name(msg: &[u8], pos: usize) -> Result<(Self::Name, usize), WireError>;
+    fn is_root(name: &Self::Name) -> bool;
+    fn rdata(
+        rtype: RType,
+        msg: &[u8],
+        start: usize,
+        rdlen: usize,
+    ) -> Result<Self::RData, WireError>;
+    fn edns(class_field: u16, ttl_field: u32, rdata: &[u8]) -> Result<Self::Edns, WireError>;
+}
+
+struct Build;
+
+impl Decode for Build {
+    type Name = Name;
+    type RData = RData;
+    type Edns = Edns;
+    fn name(msg: &[u8], pos: usize) -> Result<(Name, usize), WireError> {
+        Name::parse(msg, pos)
+    }
+    fn is_root(name: &Name) -> bool {
+        name.is_root()
+    }
+    fn rdata(rtype: RType, msg: &[u8], start: usize, rdlen: usize) -> Result<RData, WireError> {
+        RData::parse(rtype, msg, start, rdlen)
+    }
+    fn edns(class_field: u16, ttl_field: u32, rdata: &[u8]) -> Result<Edns, WireError> {
+        Edns::from_record_fields(class_field, ttl_field, rdata)
+    }
+}
+
+struct Check;
+
+impl Decode for Check {
+    /// The uncompressed wire length.
+    type Name = usize;
+    type RData = ();
+    type Edns = ();
+    fn name(msg: &[u8], pos: usize) -> Result<(usize, usize), WireError> {
+        Name::skip(msg, pos)
+    }
+    fn is_root(wire_len: &usize) -> bool {
+        *wire_len == 1
+    }
+    fn rdata(rtype: RType, msg: &[u8], start: usize, rdlen: usize) -> Result<(), WireError> {
+        RData::check(rtype, msg, start, rdlen)
+    }
+    fn edns(_class_field: u16, _ttl_field: u32, rdata: &[u8]) -> Result<(), WireError> {
+        Edns::check_options(rdata)
+    }
+}
+
+/// One decoded section entry.
+enum Entry<D: Decode> {
+    Question(D::Name, RType, RClass),
+    /// Section index (0 answer, 1 authority, 2 additional), owner,
+    /// class, TTL, RDATA.
+    Record(usize, D::Name, RClass, u32, D::RData),
+    Edns(D::Edns),
+}
+
+/// Walk every section of `msg`, checking it and handing each entry to
+/// `visit`. Returns the header with the OPT's extended-rcode bits merged
+/// into `rcode` (RFC 6891 §6.1.3).
+fn walk<D: Decode>(msg: &[u8], mut visit: impl FnMut(Entry<D>)) -> Result<Header, WireError> {
+    let (mut header, counts) = Header::parse(msg)?;
+    let mut pos = HEADER_LEN;
+
+    for _ in 0..counts[0] {
+        let (qname, p) = D::name(msg, pos).map_err(|e| section_err(e, "question"))?;
+        if p + 4 > msg.len() {
+            return Err(section_err(
+                WireError::Truncated { offset: msg.len() },
+                "question",
+            ));
+        }
+        let qtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
+        let qclass = RClass::from_u16(u16::from_be_bytes([msg[p + 2], msg[p + 3]]));
+        visit(Entry::Question(qname, qtype, qclass));
+        pos = p + 4;
+    }
+
+    let mut seen_opt = false;
+    for (si, count) in counts[1..].iter().enumerate() {
+        let section_name = ["answer", "authority", "additional"][si];
+        for _ in 0..*count {
+            let (name, p) = D::name(msg, pos).map_err(|e| section_err(e, section_name))?;
+            if p + 10 > msg.len() {
+                return Err(WireError::Truncated { offset: msg.len() });
+            }
+            let rtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
+            let class_field = u16::from_be_bytes([msg[p + 2], msg[p + 3]]);
+            let ttl_field = u32::from_be_bytes([msg[p + 4], msg[p + 5], msg[p + 6], msg[p + 7]]);
+            let rdlen = u16::from_be_bytes([msg[p + 8], msg[p + 9]]) as usize;
+            let rdata_start = p + 10;
+            if rdata_start + rdlen > msg.len() {
+                return Err(WireError::Truncated { offset: msg.len() });
+            }
+            if rtype == RType::Opt {
+                if si != 2 || seen_opt || !D::is_root(&name) {
+                    return Err(WireError::MalformedEdns);
+                }
+                let e = D::edns(
+                    class_field,
+                    ttl_field,
+                    &msg[rdata_start..rdata_start + rdlen],
+                )?;
+                // Merge extended rcode: high 8 bits from OPT, low 4
+                // from the header.
+                let extended_rcode_bits = (ttl_field >> 24) as u16;
+                if extended_rcode_bits != 0 {
+                    let low = header.rcode.to_u16() & 0x0f;
+                    header.rcode = Rcode::from_u16((extended_rcode_bits << 4) | low);
+                }
+                seen_opt = true;
+                visit(Entry::Edns(e));
+            } else {
+                let rdata = D::rdata(rtype, msg, rdata_start, rdlen)?;
+                visit(Entry::Record(
+                    si,
+                    name,
+                    RClass::from_u16(class_field),
+                    ttl_field,
+                    rdata,
+                ));
+            }
+            pos = rdata_start + rdlen;
+        }
+    }
+    Ok(header)
+}
+
 fn section_err(e: WireError, section: &'static str) -> WireError {
     match e {
         WireError::Truncated { .. } => WireError::CountMismatch { section },
@@ -339,6 +479,8 @@ fn section_err(e: WireError, section: &'static str) -> WireError {
 mod tests {
     use super::*;
     use crate::header::Header;
+    use crate::name::NameCompressor;
+    use proptest::prelude::*;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -531,13 +673,205 @@ mod tests {
     fn count_mismatch_detected() {
         let mut raw = Vec::new();
         Header::request(5).encode([2, 0, 0, 0], &mut raw); // claims 2 questions
-        let mut comp = NameCompressor::new();
+        let mut comp = ReusableCompressor::new();
         Question::new(n("example.nl"), RType::A).encode(&mut comp, &mut raw);
         assert_eq!(
             Message::parse(&raw),
             Err(WireError::CountMismatch {
                 section: "question"
             })
+        );
+    }
+
+    /// The reference encoding: every section through [`NameCompressor`].
+    fn oracle_encode(msg: &Message) -> Vec<u8> {
+        let mut out = Vec::new();
+        msg.encode_sections(&mut NameCompressor::new(), &mut out)
+            .unwrap();
+        out
+    }
+
+    /// The truncation [`Message::encode_with_limit`] replaced: clone the
+    /// message, drop one record from the tail, set TC, re-encode; repeat
+    /// until it fits.
+    fn oracle_with_limit(msg: &Message, limit: usize) -> Result<(Vec<u8>, bool), WireError> {
+        let full = oracle_encode(msg);
+        if full.len() <= limit {
+            return Ok((full, false));
+        }
+        let (mut an, mut ns, mut ar) = (
+            msg.answers.len(),
+            msg.authorities.len(),
+            msg.additionals.len(),
+        );
+        loop {
+            let last = an + ns + ar == 0;
+            if ar > 0 {
+                ar -= 1;
+            } else if ns > 0 {
+                ns -= 1;
+            } else {
+                an = an.saturating_sub(1);
+            }
+            let mut cut = msg.clone();
+            cut.header.truncated = true;
+            cut.answers.truncate(an);
+            cut.authorities.truncate(ns);
+            cut.additionals.truncate(ar);
+            let bytes = oracle_encode(&cut);
+            if bytes.len() <= limit {
+                return Ok((bytes, true));
+            }
+            if last {
+                return Err(WireError::WontFit { limit });
+            }
+        }
+    }
+
+    /// Labels drawn from a small pool so names share suffixes.
+    const POOL: [&str; 8] = ["a", "ns1", "example", "nl", "nz", "co", "www", "b"];
+
+    /// A name of up to four pooled labels, each octet's case flipped by
+    /// the mask.
+    fn pooled_name() -> impl Strategy<Value = Name> {
+        prop::collection::vec((0usize..POOL.len(), any::<u64>()), 0..=4).prop_map(|labels| {
+            let labels: Vec<Vec<u8>> = labels
+                .iter()
+                .map(|&(i, mask)| {
+                    POOL[i]
+                        .bytes()
+                        .enumerate()
+                        .map(|(j, b)| if mask >> j & 1 == 1 { b ^ 0x20 } else { b })
+                        .collect()
+                })
+                .collect();
+            Name::from_labels(labels.iter().map(|l| l.as_slice())).unwrap()
+        })
+    }
+
+    fn pooled_record() -> impl Strategy<Value = Record> {
+        let rdata = prop_oneof![
+            any::<[u8; 4]>().prop_map(|o| RData::A(o.into())),
+            pooled_name().prop_map(RData::Ns),
+            (any::<u16>(), pooled_name()).prop_map(|(preference, exchange)| RData::Mx {
+                preference,
+                exchange
+            }),
+            (pooled_name(), pooled_name()).prop_map(|(mname, rname)| RData::Soa {
+                mname,
+                rname,
+                serial: 1,
+                refresh: 2,
+                retry: 3,
+                expire: 4,
+                minimum: 5,
+            }),
+            // bulk that pushes later names past the 0x3FFF pointer range
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 255), 0..=24)
+                .prop_map(RData::Txt),
+        ];
+        (pooled_name(), rdata).prop_map(|(name, rdata)| Record::new(name, 60, rdata))
+    }
+
+    fn pooled_message() -> impl Strategy<Value = Message> {
+        (
+            any::<u16>(),
+            prop::collection::vec(pooled_name(), 0..=2),
+            prop::collection::vec(pooled_record(), 0..=6),
+            prop::collection::vec(pooled_record(), 0..=6),
+            prop::collection::vec(pooled_record(), 0..=6),
+            prop::option::of((512u16..=4096, 0u16..=2)),
+        )
+            .prop_map(|(id, qnames, answers, authorities, additionals, edns)| {
+                let mut msg = Message::new(Header::request(id));
+                msg.questions = qnames
+                    .into_iter()
+                    .map(|q| Question::new(q, RType::A))
+                    .collect();
+                msg.answers = answers;
+                msg.authorities = authorities;
+                msg.additionals = additionals;
+                if let Some((size, options)) = edns {
+                    let mut e = Edns::with_size(size, true);
+                    e.options = (0..options).map(|c| (c, vec![c as u8; 3])).collect();
+                    msg.edns = Some(e);
+                }
+                msg
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// `encode`, `encode_into` and `encode_with_limit` produce the
+        /// reference compressor's bytes and the clone-and-re-encode
+        /// truncation's output, at every limit from "too small for
+        /// anything" to "fits whole".
+        #[test]
+        fn encoders_match_the_reference(msg in pooled_message(), cuts in prop::collection::vec(0usize..=100, 4)) {
+            let expected = oracle_encode(&msg);
+            prop_assert_eq!(&msg.encode().unwrap(), &expected);
+            let mut comp = ReusableCompressor::new();
+            let mut out = vec![0xff; 3];
+            msg.encode_into(&mut comp, &mut out).unwrap();
+            prop_assert_eq!(&out, &expected);
+            for pct in cuts {
+                let limit = expected.len() * pct / 100;
+                prop_assert_eq!(msg.encode_with_limit(limit), oracle_with_limit(&msg, limit));
+            }
+        }
+    }
+
+    #[test]
+    fn offsets_past_the_pointer_range_are_not_recorded() {
+        // a record whose RDATA fills the first 16 KiB: later names must
+        // not point into it, and must still match the reference
+        let mut msg = sample_response();
+        msg.answers.insert(
+            0,
+            Record::new(
+                n("bulk.example.nl"),
+                60,
+                RData::Txt(vec![vec![b'x'; 255]; 70]),
+            ),
+        );
+        msg.answers.push(Record::new(
+            n("late.other.nz"),
+            60,
+            RData::Ns(n("ns.late.other.nz")),
+        ));
+        let bytes = msg.encode().unwrap();
+        assert!(bytes.len() > 0x3fff);
+        assert_eq!(bytes, oracle_encode(&msg));
+        assert_eq!(Message::parse(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn slip_is_the_record_free_truncation() {
+        let msg = sample_response();
+        let mut wire = msg.encode().unwrap();
+        msg.truncate_encoded(&mut wire, 0);
+        let mut slip = msg.clone();
+        slip.answers.clear();
+        slip.authorities.clear();
+        slip.additionals.clear();
+        slip.header.truncated = true;
+        assert_eq!(wire, slip.encode().unwrap());
+    }
+
+    #[test]
+    fn header_view_matches_parse() {
+        let mut msg = sample_response();
+        msg.header.rcode = Rcode::BadVers;
+        msg.header.truncated = true;
+        let bytes = msg.encode().unwrap();
+        let view = Message::parse_header(&bytes).unwrap();
+        assert_eq!(view, Message::parse(&bytes).unwrap().header);
+        assert_eq!(view.rcode, Rcode::BadVers);
+        assert!(view.truncated);
+        assert_eq!(
+            Message::parse_header(&bytes[..bytes.len() - 1]),
+            Message::parse(&bytes[..bytes.len() - 1]).map(|m| m.header)
         );
     }
 

@@ -137,18 +137,49 @@ impl Name {
     /// assert!(!zone.is_subdomain_of(&host));
     /// ```
     pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        if zone.is_root() {
-            return true;
+        let depth = zone.label_count();
+        depth <= self.label_count() && self.ancestor_wire(depth).eq_ignore_ascii_case(&zone.wire)
+    }
+
+    /// The wire form of [`Name::ancestor`], borrowed: the label-aligned
+    /// suffix of this name holding its last `depth` labels (the whole
+    /// name if it has no more than that).
+    pub fn ancestor_wire(&self, depth: usize) -> &[u8] {
+        let mut pos = 0usize;
+        for _ in depth..self.label_count() {
+            pos += 1 + self.wire[pos] as usize;
         }
-        let mine: Vec<&[u8]> = self.labels().collect();
-        let theirs: Vec<&[u8]> = zone.labels().collect();
-        if theirs.len() > mine.len() {
-            return false;
+        &self.wire[pos..]
+    }
+
+    /// The ancestor of this name with exactly `depth` labels (the name
+    /// itself if it has no more than that): one slice of the wire form.
+    ///
+    /// ```
+    /// # use dns_wire::name::Name;
+    /// let host: Name = "www.example.nl.".parse().unwrap();
+    /// assert_eq!(host.ancestor(2).to_string(), "example.nl.");
+    /// assert_eq!(host.ancestor(9), host);
+    /// ```
+    pub fn ancestor(&self, depth: usize) -> Name {
+        Name {
+            wire: self.ancestor_wire(depth).to_vec(),
         }
-        mine.iter()
-            .rev()
-            .zip(theirs.iter().rev())
-            .all(|(a, b)| eq_fold(a, b))
+    }
+
+    /// A copy of this name with every label octet passed through `f`,
+    /// in wire order (length octets untouched).
+    pub fn map_label_octets(&self, mut f: impl FnMut(u8) -> u8) -> Name {
+        let mut wire = self.wire.clone();
+        let mut pos = 0usize;
+        while wire[pos] != 0 {
+            let end = pos + 1 + wire[pos] as usize;
+            for b in &mut wire[pos + 1..end] {
+                *b = f(*b);
+            }
+            pos = end;
+        }
+        Name { wire }
     }
 
     /// The QNAME-minimization test of RFC 7816 as applied by the paper:
@@ -167,59 +198,24 @@ impl Name {
     /// one). Pointers must point strictly backwards; hop count is capped
     /// to defeat loops.
     pub fn parse(msg: &[u8], pos: usize) -> Result<(Name, usize), WireError> {
-        let mut wire = Vec::new();
-        let mut cursor = pos;
-        let mut after: Option<usize> = None; // resume point in the outer stream
-        let mut hops = 0usize;
-        let mut min_ptr_target = pos; // each pointer must go strictly before this
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let mut at = 0usize;
+        let (len, end) = walk_name(msg, pos, |piece| {
+            buf[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        })?;
+        Ok((
+            Name {
+                wire: buf[..len].to_vec(),
+            },
+            end,
+        ))
+    }
 
-        loop {
-            let len_byte = *msg
-                .get(cursor)
-                .ok_or(WireError::Truncated { offset: cursor })?;
-            match len_byte & 0xc0 {
-                0x00 => {
-                    let len = len_byte as usize;
-                    if len == 0 {
-                        wire.push(0);
-                        let end = after.unwrap_or(cursor + 1);
-                        if wire.len() > MAX_NAME_LEN {
-                            return Err(WireError::NameTooLong(wire.len()));
-                        }
-                        return Ok((Name { wire }, end));
-                    }
-                    let label_end = cursor + 1 + len;
-                    if label_end > msg.len() {
-                        return Err(WireError::Truncated { offset: msg.len() });
-                    }
-                    wire.push(len_byte);
-                    wire.extend_from_slice(&msg[cursor + 1..label_end]);
-                    if wire.len() > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire.len()));
-                    }
-                    cursor = label_end;
-                }
-                0xc0 => {
-                    let second = *msg
-                        .get(cursor + 1)
-                        .ok_or(WireError::Truncated { offset: cursor + 1 })?;
-                    let target = (((len_byte & 0x3f) as usize) << 8) | second as usize;
-                    if target >= min_ptr_target {
-                        return Err(WireError::BadPointer { at: cursor, target });
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer { at: cursor, target });
-                    }
-                    if after.is_none() {
-                        after = Some(cursor + 2);
-                    }
-                    min_ptr_target = target;
-                    cursor = target;
-                }
-                other => return Err(WireError::BadLabelType(other)),
-            }
-        }
+    /// [`Name::parse`]'s checks without building the name: returns the
+    /// uncompressed wire length and the position just past the encoding.
+    pub(crate) fn skip(msg: &[u8], pos: usize) -> Result<(usize, usize), WireError> {
+        walk_name(msg, pos, |_| {})
     }
 
     /// Append the uncompressed encoding to `out`.
@@ -228,27 +224,70 @@ impl Name {
     }
 }
 
-/// Case-folding byte-slice equality (ASCII only, per RFC 4343).
-fn eq_fold(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+/// Walk the (possibly compressed) name at `msg[pos]`, passing each
+/// label (length octet included) and the final root octet to `emit`, in
+/// order, once each has passed the checks. Returns the uncompressed wire
+/// length and the position just past the encoding in the original
+/// stream.
+fn walk_name(
+    msg: &[u8],
+    pos: usize,
+    mut emit: impl FnMut(&[u8]),
+) -> Result<(usize, usize), WireError> {
+    let mut len_total = 0usize;
+    let mut cursor = pos;
+    let mut after: Option<usize> = None; // resume point in the outer stream
+    let mut hops = 0usize;
+    let mut min_ptr_target = pos; // each pointer must go strictly before this
+
+    loop {
+        let len_byte = *msg
+            .get(cursor)
+            .ok_or(WireError::Truncated { offset: cursor })?;
+        match len_byte & 0xc0 {
+            0x00 => {
+                let label_end = cursor + 1 + len_byte as usize;
+                if len_byte != 0 && label_end > msg.len() {
+                    return Err(WireError::Truncated { offset: msg.len() });
+                }
+                len_total += label_end - cursor;
+                if len_total > MAX_NAME_LEN {
+                    return Err(WireError::NameTooLong(len_total));
+                }
+                emit(&msg[cursor..label_end]);
+                if len_byte == 0 {
+                    return Ok((len_total, after.unwrap_or(label_end)));
+                }
+                cursor = label_end;
+            }
+            0xc0 => {
+                let second = *msg
+                    .get(cursor + 1)
+                    .ok_or(WireError::Truncated { offset: cursor + 1 })?;
+                let target = (((len_byte & 0x3f) as usize) << 8) | second as usize;
+                if target >= min_ptr_target {
+                    return Err(WireError::BadPointer { at: cursor, target });
+                }
+                hops += 1;
+                if hops > MAX_POINTER_HOPS {
+                    return Err(WireError::BadPointer { at: cursor, target });
+                }
+                if after.is_none() {
+                    after = Some(cursor + 2);
+                }
+                min_ptr_target = target;
+                cursor = target;
+            }
+            other => return Err(WireError::BadLabelType(other)),
+        }
+    }
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        if self.wire.len() != other.wire.len() {
-            return false;
-        }
-        // Label lengths are never in the ASCII-letter range collision zone?
-        // They are: length 0x41..=0x5a would case-fold wrongly. Compare
-        // label-wise to be exact.
-        self.labels().count() == other.labels().count()
-            && self
-                .labels()
-                .zip(other.labels())
-                .all(|(a, b)| eq_fold(a, b))
+        // Length octets are at most 63, below every ASCII letter, so
+        // folding the whole wire form folds exactly the label octets.
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
@@ -388,9 +427,12 @@ impl FromStr for Name {
     }
 }
 
-/// A compression map used while encoding a message: remembers, for every
-/// name suffix already emitted, its offset, so later names can point at it
-/// (RFC 1035 §4.1.4). Offsets beyond 0x3FFF cannot be pointed at.
+/// The reference compressor: remembers, for every name suffix already
+/// emitted, its offset, so later names can point at it (RFC 1035
+/// §4.1.4). Offsets beyond 0x3FFF cannot be pointed at.
+///
+/// It allocates a key per suffix, so no encoding path uses it; it is the
+/// oracle that [`ReusableCompressor`]'s output is tested against.
 #[derive(Default)]
 pub struct NameCompressor {
     /// Suffix (in lowercased wire form) -> offset in the message.
@@ -409,7 +451,7 @@ impl NameCompressor {
         let wire = name.as_wire();
         let mut pos = 0usize;
         while wire[pos] != 0 {
-            let suffix_key = lower_wire(&wire[pos..]);
+            let suffix_key = wire[pos..].to_ascii_lowercase();
             if let Some(&offset) = self.seen.get(&suffix_key) {
                 out.push(0xc0 | ((offset >> 8) as u8));
                 out.push(offset as u8);
@@ -427,16 +469,9 @@ impl NameCompressor {
     }
 }
 
-fn lower_wire(w: &[u8]) -> Vec<u8> {
-    w.iter().map(|b| b.to_ascii_lowercase()).collect()
-}
-
-/// Strategy for emitting a name into a message under construction.
-///
-/// [`NameCompressor`] is the straightforward per-message implementation;
-/// [`ReusableCompressor`] trades exactness of its suffix table (hashes,
-/// verified against the output buffer) for allocation-free reuse across
-/// messages on hot paths.
+/// Strategy for emitting a name into a message under construction:
+/// [`ReusableCompressor`] on every encoding path, [`NameCompressor`] as
+/// the reference it is tested against.
 pub trait NameEncoder {
     /// Append `name` (possibly compressed) at the current end of `out`.
     fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>);
@@ -461,10 +496,13 @@ fn fnv_lower(w: &[u8]) -> u64 {
 /// True when the name suffix starting at `msg[at]` (following
 /// compression pointers, strictly backwards) equals `suffix`
 /// (uncompressed, well-formed wire), ASCII case-folded.
+///
+/// No hop cap: strictly decreasing targets already end every walk, and
+/// a long chain of names each pointing at the one before is legitimate
+/// compressor output.
 fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
     let mut mp = at;
     let mut sp = 0usize;
-    let mut hops = 0usize;
     let mut min_target = at;
     loop {
         let Some(&len_byte) = msg.get(mp) else {
@@ -495,10 +533,9 @@ fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
                     return false;
                 };
                 let target = (((len_byte & 0x3f) as usize) << 8) | second as usize;
-                if target >= min_target || hops >= MAX_POINTER_HOPS {
+                if target >= min_target {
                     return false;
                 }
-                hops += 1;
                 min_target = target;
                 mp = target;
             }
@@ -507,20 +544,21 @@ fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
     }
 }
 
-/// A [`NameEncoder`] designed for reuse across many messages without
-/// allocating: the suffix table keys are 64-bit FNV hashes instead of
-/// owned byte strings, so [`ReusableCompressor::reset`] between
-/// messages keeps the map's capacity and steady-state encoding performs
-/// zero heap allocations.
+/// The name compressor of every encoding path, built for reuse across
+/// messages without allocating: the suffix table holds `(hash, offset)`
+/// pairs instead of owned byte strings, so [`ReusableCompressor::reset`]
+/// between messages keeps its capacity and steady-state encoding
+/// performs zero heap allocations.
 ///
-/// Hash entries are *verified* against the actual output buffer before
-/// a pointer is emitted (`suffix_matches`); a colliding hash merely
-/// loses compression for the rest of that name — the produced message
-/// is always correct.
+/// It is exact: a suffix is looked up by scanning every entry with its
+/// FNV hash and verifying each against the output buffer
+/// (`suffix_matches`), so a hash collision never costs compression and
+/// the bytes equal [`NameCompressor`]'s in every case.
 #[derive(Default)]
 pub struct ReusableCompressor {
-    /// FNV of the lowercased suffix -> offset in the message.
-    seen: std::collections::HashMap<u64, u16>,
+    /// (FNV of the lowercased suffix, offset in the message), one entry
+    /// per distinct suffix, in emission order.
+    seen: Vec<(u64, u16)>,
 }
 
 impl ReusableCompressor {
@@ -534,6 +572,15 @@ impl ReusableCompressor {
     pub fn reset(&mut self) {
         self.seen.clear();
     }
+
+    /// The offset of an earlier emission of `suffix` in `out`, if any.
+    fn find(&self, key: u64, suffix: &[u8], out: &[u8]) -> Option<u16> {
+        self.seen
+            .iter()
+            .filter(|&&(k, _)| k == key)
+            .map(|&(_, offset)| offset)
+            .find(|&offset| suffix_matches(out, offset as usize, suffix))
+    }
 }
 
 impl NameEncoder for ReusableCompressor {
@@ -541,28 +588,20 @@ impl NameEncoder for ReusableCompressor {
         let wire = name.as_wire();
         let mut pos = 0usize;
         while wire[pos] != 0 {
-            let key = fnv_lower(&wire[pos..]);
-            match self.seen.get(&key) {
-                Some(&offset) if suffix_matches(out, offset as usize, &wire[pos..]) => {
-                    out.push(0xc0 | ((offset >> 8) as u8));
-                    out.push(offset as u8);
-                    return;
-                }
-                Some(_) => {
-                    // hash collision: emit the rest uncompressed
-                    out.extend_from_slice(&wire[pos..]);
-                    return;
-                }
-                None => {
-                    let here = out.len();
-                    if here <= 0x3fff {
-                        self.seen.insert(key, here as u16);
-                    }
-                    let len = wire[pos] as usize;
-                    out.extend_from_slice(&wire[pos..pos + 1 + len]);
-                    pos += 1 + len;
-                }
+            let suffix = &wire[pos..];
+            let key = fnv_lower(suffix);
+            if let Some(offset) = self.find(key, suffix, out) {
+                out.push(0xc0 | ((offset >> 8) as u8));
+                out.push(offset as u8);
+                return;
             }
+            let here = out.len();
+            if here <= 0x3fff {
+                self.seen.push((key, here as u16));
+            }
+            let len = wire[pos] as usize;
+            out.extend_from_slice(&wire[pos..pos + 1 + len]);
+            pos += 1 + len;
         }
         out.push(0);
     }
@@ -852,6 +891,77 @@ mod tests {
             pos = next;
         }
         assert_eq!(pos, out.len());
+    }
+
+    #[test]
+    fn reusable_compressor_is_exact_under_hash_collisions() {
+        // plant an entry with the hash of "example.nl." but pointing at
+        // "other.nz.": lookups must skip it and still find the real one
+        let names = [
+            n("other.nz"),
+            n("www.example.nl"),
+            n("mail.EXAMPLE.nl"),
+            n("example.nl"),
+        ];
+        let mut exact = NameCompressor::new();
+        let mut exact_out = Vec::new();
+        let mut fast = ReusableCompressor::new();
+        let mut fast_out = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            exact.encode_name(name, &mut exact_out);
+            fast.encode_name(name, &mut fast_out);
+            if i == 0 {
+                let key = fnv_lower(n("example.nl").as_wire());
+                fast.seen.insert(0, (key, 0));
+            }
+        }
+        assert_eq!(fast_out, exact_out);
+    }
+
+    #[test]
+    fn reusable_compressor_follows_long_pointer_chains() {
+        // each name adds one label in front of the previous one, so the
+        // last suffix is reached through more than 63 pointers
+        let mut names = vec![n("nl")];
+        for i in 0..100 {
+            let next = names[i].child(&[b'a' + (i % 26) as u8]).unwrap();
+            names.push(next);
+        }
+        names.push(names[100].clone());
+        let mut exact = NameCompressor::new();
+        let mut exact_out = Vec::new();
+        let mut fast = ReusableCompressor::new();
+        let mut fast_out = Vec::new();
+        for name in &names {
+            exact.encode_name(name, &mut exact_out);
+            fast.encode_name(name, &mut fast_out);
+        }
+        assert_eq!(fast_out, exact_out);
+    }
+
+    #[test]
+    fn ancestors_are_label_aligned_slices() {
+        let d = n("www.Example.nl");
+        assert_eq!(d.ancestor(0), Name::root());
+        assert_eq!(d.ancestor(1), n("nl"));
+        assert_eq!(d.ancestor(2).to_string(), "Example.nl.");
+        assert_eq!(d.ancestor(3), d);
+        assert_eq!(d.ancestor(7), d);
+        assert_eq!(d.ancestor_wire(2), b"\x07Example\x02nl\x00");
+        assert!(d.is_subdomain_of(&n("EXAMPLE.NL")));
+        assert!(!d.is_subdomain_of(&n("xample.nl")));
+    }
+
+    #[test]
+    fn label_octet_map_skips_length_octets() {
+        let d = n("ab.c");
+        let mut seen = Vec::new();
+        let upper = d.map_label_octets(|b| {
+            seen.push(b);
+            b.to_ascii_uppercase()
+        });
+        assert_eq!(seen, b"abc");
+        assert_eq!(upper.to_string(), "AB.C.");
     }
 
     #[test]

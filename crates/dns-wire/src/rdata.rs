@@ -175,11 +175,15 @@ impl RData {
         }
     }
 
-    /// Parse RDATA of type `rtype` from `msg[start..start+rdlen]`.
-    ///
-    /// `msg` is the whole message because several types embed names which
-    /// may use compression pointers into earlier parts of the message.
-    pub fn parse(rtype: RType, msg: &[u8], start: usize, rdlen: usize) -> Result<RData, WireError> {
+    /// Check RDATA of type `rtype` at `msg[start..start+rdlen]` without
+    /// building it: `Err` exactly when [`RData::parse`] fails, with the
+    /// same error. Every RDATA check lives here; `parse` runs it first.
+    pub(crate) fn check(
+        rtype: RType,
+        msg: &[u8],
+        start: usize,
+        rdlen: usize,
+    ) -> Result<(), WireError> {
         let end = start
             .checked_add(rdlen)
             .ok_or(WireError::Truncated { offset: start })?;
@@ -187,89 +191,50 @@ impl RData {
             return Err(WireError::Truncated { offset: msg.len() });
         }
         let slice = &msg[start..end];
-        let exact = |need: usize| -> Result<(), WireError> {
-            if rdlen == need {
+        // the declared length must equal what the fields consumed
+        let exact = |consumed_to: usize| {
+            if consumed_to == end {
                 Ok(())
             } else {
                 Err(WireError::BadRdataLength {
                     declared: rdlen,
-                    consumed: need,
+                    consumed: consumed_to - start,
                 })
             }
         };
+        // an embedded name must end inside the RDATA
+        let within = |consumed_to: usize| {
+            if consumed_to > end {
+                Err(WireError::BadRdataLength {
+                    declared: rdlen,
+                    consumed: consumed_to - start,
+                })
+            } else {
+                Ok(())
+            }
+        };
+        // a fixed-size prefix must be present
+        let at_least = |need: usize| {
+            if rdlen < need {
+                Err(WireError::Truncated { offset: end })
+            } else {
+                Ok(())
+            }
+        };
         match rtype {
-            RType::A => {
-                exact(4)?;
-                Ok(RData::A(Ipv4Addr::new(
-                    slice[0], slice[1], slice[2], slice[3],
-                )))
-            }
-            RType::Aaaa => {
-                exact(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(slice);
-                Ok(RData::Aaaa(Ipv6Addr::from(o)))
-            }
-            RType::Ns | RType::Cname | RType::Ptr => {
-                let (name, consumed_to) = Name::parse(msg, start)?;
-                if consumed_to != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: consumed_to - start,
-                    });
-                }
-                Ok(match rtype {
-                    RType::Ns => RData::Ns(name),
-                    RType::Cname => RData::Cname(name),
-                    _ => RData::Ptr(name),
-                })
-            }
+            RType::A => exact(start + 4),
+            RType::Aaaa => exact(start + 16),
+            RType::Ns | RType::Cname | RType::Ptr => exact(Name::skip(msg, start)?.1),
             RType::Mx => {
-                if rdlen < 3 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let preference = u16::from_be_bytes([slice[0], slice[1]]);
-                let (exchange, consumed_to) = Name::parse(msg, start + 2)?;
-                if consumed_to != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: consumed_to - start,
-                    });
-                }
-                Ok(RData::Mx {
-                    preference,
-                    exchange,
-                })
+                at_least(3)?;
+                exact(Name::skip(msg, start + 2)?.1)
             }
             RType::Soa => {
-                let (mname, p1) = Name::parse(msg, start)?;
-                let (rname, p2) = Name::parse(msg, p1)?;
-                if p2 + 20 != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p2 + 20 - start,
-                    });
-                }
-                let g = |i: usize| {
-                    u32::from_be_bytes([
-                        msg[p2 + i],
-                        msg[p2 + i + 1],
-                        msg[p2 + i + 2],
-                        msg[p2 + i + 3],
-                    ])
-                };
-                Ok(RData::Soa {
-                    mname,
-                    rname,
-                    serial: g(0),
-                    refresh: g(4),
-                    retry: g(8),
-                    expire: g(12),
-                    minimum: g(16),
-                })
+                let (_, p1) = Name::skip(msg, start)?;
+                let (_, p2) = Name::skip(msg, p1)?;
+                exact(p2 + 20)
             }
             RType::Txt => {
-                let mut strings = Vec::new();
                 let mut pos = 0usize;
                 while pos < slice.len() {
                     let len = slice[pos] as usize;
@@ -278,6 +243,90 @@ impl RData {
                             offset: start + pos,
                         });
                     }
+                    pos += 1 + len;
+                }
+                Ok(())
+            }
+            RType::Ds | RType::Dnskey => at_least(4),
+            RType::Rrsig => {
+                at_least(18)?;
+                within(Name::skip(msg, start + 18)?.1)
+            }
+            RType::Nsec => within(Name::skip(msg, start)?.1),
+            RType::Nsec3 => {
+                at_least(5)?;
+                let salt_len = slice[4] as usize;
+                at_least(5 + salt_len + 1)?;
+                let hash_len = slice[5 + salt_len] as usize;
+                at_least(5 + salt_len + 1 + hash_len)
+            }
+            RType::Caa => {
+                at_least(2)?;
+                at_least(2 + slice[1] as usize)
+            }
+            RType::Svcb | RType::Https => {
+                at_least(3)?;
+                let (_, mut pos) = Name::skip(msg, start + 2)?;
+                while pos < end {
+                    if pos + 4 > end {
+                        return Err(WireError::Truncated { offset: pos });
+                    }
+                    let len = u16::from_be_bytes([msg[pos + 2], msg[pos + 3]]) as usize;
+                    if pos + 4 + len > end {
+                        return Err(WireError::Truncated { offset: pos + 4 });
+                    }
+                    pos += 4 + len;
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Parse RDATA of type `rtype` from `msg[start..start+rdlen]`.
+    ///
+    /// `msg` is the whole message because several types embed names which
+    /// may use compression pointers into earlier parts of the message.
+    pub fn parse(rtype: RType, msg: &[u8], start: usize, rdlen: usize) -> Result<RData, WireError> {
+        RData::check(rtype, msg, start, rdlen)?;
+        // checked: every offset below is in bounds and every name decodes
+        let end = start + rdlen;
+        let slice = &msg[start..end];
+        let u16_at = |i: usize| u16::from_be_bytes([msg[i], msg[i + 1]]);
+        let u32_at = |i: usize| u32::from_be_bytes([msg[i], msg[i + 1], msg[i + 2], msg[i + 3]]);
+        Ok(match rtype {
+            RType::A => RData::A(Ipv4Addr::new(slice[0], slice[1], slice[2], slice[3])),
+            RType::Aaaa => {
+                let mut o = [0u8; 16];
+                o.copy_from_slice(slice);
+                RData::Aaaa(Ipv6Addr::from(o))
+            }
+            RType::Ns => RData::Ns(Name::parse(msg, start)?.0),
+            RType::Cname => RData::Cname(Name::parse(msg, start)?.0),
+            RType::Ptr => RData::Ptr(Name::parse(msg, start)?.0),
+            RType::Mx => RData::Mx {
+                preference: u16_at(start),
+                exchange: Name::parse(msg, start + 2)?.0,
+            },
+            RType::Soa => {
+                let (mname, p1) = Name::parse(msg, start)?;
+                let rname = Name::parse(msg, p1)?.0;
+                let p2 = end - 20;
+                RData::Soa {
+                    mname,
+                    rname,
+                    serial: u32_at(p2),
+                    refresh: u32_at(p2 + 4),
+                    retry: u32_at(p2 + 8),
+                    expire: u32_at(p2 + 12),
+                    minimum: u32_at(p2 + 16),
+                }
+            }
+            RType::Txt => {
+                let mut strings = Vec::new();
+                let mut pos = 0usize;
+                while pos < slice.len() {
+                    let len = slice[pos] as usize;
                     strings.push(slice[pos + 1..pos + 1 + len].to_vec());
                     pos += 1 + len;
                 }
@@ -285,123 +334,71 @@ impl RData {
                     // RFC 1035: TXT must contain at least one string.
                     strings.push(Vec::new());
                 }
-                Ok(RData::Txt(strings))
+                RData::Txt(strings)
             }
-            RType::Ds => {
-                if rdlen < 4 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Ds {
-                    key_tag: u16::from_be_bytes([slice[0], slice[1]]),
-                    algorithm: slice[2],
-                    digest_type: slice[3],
-                    digest: slice[4..].to_vec(),
-                })
-            }
-            RType::Dnskey => {
-                if rdlen < 4 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Dnskey {
-                    flags: u16::from_be_bytes([slice[0], slice[1]]),
-                    protocol: slice[2],
-                    algorithm: slice[3],
-                    public_key: slice[4..].to_vec(),
-                })
-            }
+            RType::Ds => RData::Ds {
+                key_tag: u16_at(start),
+                algorithm: slice[2],
+                digest_type: slice[3],
+                digest: slice[4..].to_vec(),
+            },
+            RType::Dnskey => RData::Dnskey {
+                flags: u16_at(start),
+                protocol: slice[2],
+                algorithm: slice[3],
+                public_key: slice[4..].to_vec(),
+            },
             RType::Rrsig => {
-                if rdlen < 18 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let type_covered = RType::from_u16(u16::from_be_bytes([slice[0], slice[1]]));
                 let (signer, p) = Name::parse(msg, start + 18)?;
-                if p > end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p - start,
-                    });
-                }
-                Ok(RData::Rrsig {
-                    type_covered,
+                RData::Rrsig {
+                    type_covered: RType::from_u16(u16_at(start)),
                     algorithm: slice[2],
                     labels: slice[3],
-                    original_ttl: u32::from_be_bytes([slice[4], slice[5], slice[6], slice[7]]),
-                    expiration: u32::from_be_bytes([slice[8], slice[9], slice[10], slice[11]]),
-                    inception: u32::from_be_bytes([slice[12], slice[13], slice[14], slice[15]]),
-                    key_tag: u16::from_be_bytes([slice[16], slice[17]]),
+                    original_ttl: u32_at(start + 4),
+                    expiration: u32_at(start + 8),
+                    inception: u32_at(start + 12),
+                    key_tag: u16_at(start + 16),
                     signer,
                     signature: msg[p..end].to_vec(),
-                })
+                }
             }
             RType::Nsec => {
                 let (next, p) = Name::parse(msg, start)?;
-                if p > end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p - start,
-                    });
-                }
-                Ok(RData::Nsec {
+                RData::Nsec {
                     next,
                     type_bitmaps: msg[p..end].to_vec(),
-                })
+                }
             }
             RType::Nsec3 => {
-                if rdlen < 5 {
-                    return Err(WireError::Truncated { offset: end });
-                }
                 let salt_len = slice[4] as usize;
-                if 5 + salt_len + 1 > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
                 let hash_len = slice[5 + salt_len] as usize;
-                if 5 + salt_len + 1 + hash_len > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Nsec3 {
+                RData::Nsec3 {
                     hash_algorithm: slice[0],
                     flags: slice[1],
-                    iterations: u16::from_be_bytes([slice[2], slice[3]]),
+                    iterations: u16_at(start + 2),
                     salt: slice[5..5 + salt_len].to_vec(),
                     next_hashed: slice[6 + salt_len..6 + salt_len + hash_len].to_vec(),
                     type_bitmaps: slice[6 + salt_len + hash_len..].to_vec(),
-                })
+                }
             }
             RType::Caa => {
-                if rdlen < 2 {
-                    return Err(WireError::Truncated { offset: end });
-                }
                 let tag_len = slice[1] as usize;
-                if 2 + tag_len > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Caa {
+                RData::Caa {
                     flags: slice[0],
                     tag: slice[2..2 + tag_len].to_vec(),
                     value: slice[2 + tag_len..].to_vec(),
-                })
+                }
             }
             RType::Svcb | RType::Https => {
-                if rdlen < 3 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let priority = u16::from_be_bytes([slice[0], slice[1]]);
-                let (target, p) = Name::parse(msg, start + 2)?;
+                let priority = u16_at(start);
+                let (target, mut pos) = Name::parse(msg, start + 2)?;
                 let mut params = Vec::new();
-                let mut pos = p;
                 while pos < end {
-                    if pos + 4 > end {
-                        return Err(WireError::Truncated { offset: pos });
-                    }
-                    let key = u16::from_be_bytes([msg[pos], msg[pos + 1]]);
-                    let len = u16::from_be_bytes([msg[pos + 2], msg[pos + 3]]) as usize;
-                    if pos + 4 + len > end {
-                        return Err(WireError::Truncated { offset: pos + 4 });
-                    }
-                    params.push((key, msg[pos + 4..pos + 4 + len].to_vec()));
+                    let len = u16_at(pos + 2) as usize;
+                    params.push((u16_at(pos), msg[pos + 4..pos + 4 + len].to_vec()));
                     pos += 4 + len;
                 }
-                Ok(if rtype == RType::Svcb {
+                if rtype == RType::Svcb {
                     RData::Svcb {
                         priority,
                         target,
@@ -413,13 +410,13 @@ impl RData {
                         target,
                         params,
                     }
-                })
+                }
             }
-            other => Ok(RData::Unknown {
+            other => RData::Unknown {
                 rtype: other,
                 data: slice.to_vec(),
-            }),
-        }
+            },
+        })
     }
 
     /// Append the wire encoding to `out`, compressing embedded names where

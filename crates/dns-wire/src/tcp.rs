@@ -1,9 +1,10 @@
 //! DNS-over-TCP framing (RFC 1035 §4.2.2 / RFC 7766): each message on a
 //! TCP stream is preceded by a two-octet, big-endian length field.
 //!
-//! The simulator frames TCP payloads with [`frame`]; the warehouse's
-//! ingest deframes with [`Deframer`], which is an incremental decoder —
-//! segments may split anywhere, including inside the length prefix.
+//! The simulator frames TCP payloads with [`frame`]; capture ingest
+//! splits whole captured payloads with [`split_all`], and the live
+//! server deframes with [`Deframer`], an incremental decoder — segments
+//! may split anywhere, including inside the length prefix.
 
 use crate::error::WireError;
 
@@ -85,18 +86,28 @@ impl Deframer {
 
 /// One-shot deframe of a whole stream; errors on trailing garbage.
 pub fn deframe_all(stream: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
-    let mut d = Deframer::new();
-    d.push(stream);
-    let mut out = Vec::new();
-    while let Some(m) = d.next_message() {
-        out.push(m);
+    Ok(split_all(stream)?.map(<[u8]>::to_vec).collect())
+}
+
+/// [`deframe_all`] without copying: the stream's messages as borrowed
+/// slices, after checking that it ends exactly at a frame boundary.
+pub fn split_all(stream: &[u8]) -> Result<impl Iterator<Item = &[u8]>, WireError> {
+    let frame_end = |pos: usize| {
+        let prefix = stream.get(pos..pos + 2)?;
+        let end = pos + 2 + u16::from_be_bytes([prefix[0], prefix[1]]) as usize;
+        (end <= stream.len()).then_some(end)
+    };
+    let mut pos = 0;
+    while pos < stream.len() {
+        pos = frame_end(pos).ok_or(WireError::Truncated { offset: pos })?;
     }
-    if d.pending() != 0 {
-        return Err(WireError::Truncated {
-            offset: stream.len() - d.pending(),
-        });
-    }
-    Ok(out)
+    let mut pos = 0;
+    Ok(std::iter::from_fn(move || {
+        let end = frame_end(pos)?;
+        let msg = &stream[pos + 2..end];
+        pos = end;
+        Some(msg)
+    }))
 }
 
 #[cfg(test)]

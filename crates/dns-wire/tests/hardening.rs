@@ -1,11 +1,30 @@
 //! Hardening corpus: hand-crafted hostile wire inputs. Every case must
 //! return a typed error (or a correct parse) — never panic, hang, or
-//! over-allocate.
+//! over-allocate. Every input also goes through the header view
+//! ([`Message::parse_header`]), which must agree with the full parse.
 
 use dns_wire::error::WireError;
 use dns_wire::header::Header;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
+
+/// [`Message::parse`], checking on the way that the header view agrees
+/// with it: `Err` exactly when `parse` fails, else the same id, rcode
+/// (extended bits merged) and TC.
+fn parse(msg: &[u8]) -> Result<Message, WireError> {
+    let full = Message::parse(msg);
+    let view = Message::parse_header(msg);
+    match (&full, &view) {
+        (Ok(m), Ok(h)) => {
+            assert_eq!(m.header.id, h.id, "{msg:02x?}");
+            assert_eq!(m.header.rcode, h.rcode, "{msg:02x?}");
+            assert_eq!(m.header.truncated, h.truncated, "{msg:02x?}");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{msg:02x?}"),
+        _ => panic!("parse {full:?} vs header view {view:?} on {msg:02x?}"),
+    }
+    full
+}
 
 /// Build a raw message skeleton: header with given counts + body bytes.
 fn raw(counts: [u16; 4], body: &[u8]) -> Vec<u8> {
@@ -19,10 +38,7 @@ fn raw(counts: [u16; 4], body: &[u8]) -> Vec<u8> {
 fn compression_pointer_self_loop() {
     // question name is a pointer to itself
     let msg = raw([1, 0, 0, 0], &[0xc0, 0x0c, 0x00, 0x01, 0x00, 0x01]);
-    assert!(matches!(
-        Message::parse(&msg),
-        Err(WireError::BadPointer { .. })
-    ));
+    assert!(matches!(parse(&msg), Err(WireError::BadPointer { .. })));
 }
 
 #[test]
@@ -30,7 +46,7 @@ fn compression_pointer_two_hop_cycle() {
     // name at 12 points to 14; name at 14 points to 12
     let body = [0xc0, 14, 0xc0, 12, 0x00, 0x01, 0x00, 0x01];
     let msg = raw([1, 0, 0, 0], &body);
-    assert!(Message::parse(&msg).is_err());
+    assert!(parse(&msg).is_err());
 }
 
 #[test]
@@ -46,13 +62,13 @@ fn deep_pointer_chain_is_bounded() {
     }
     body.extend_from_slice(&[0x00, 0x01, 0x00, 0x01]);
     let msg = raw([1, 0, 0, 0], &body);
-    let _ = Message::parse(&msg); // any Err is fine; must terminate
+    let _ = parse(&msg); // any Err is fine; must terminate
 }
 
 #[test]
 fn label_runs_past_end() {
     let msg = raw([1, 0, 0, 0], &[0x3f, b'a', b'b']);
-    assert!(Message::parse(&msg).is_err());
+    assert!(parse(&msg).is_err());
 }
 
 #[test]
@@ -74,7 +90,7 @@ fn name_exactly_at_255_limit() {
 fn counts_larger_than_body() {
     for counts in [[100, 0, 0, 0], [1, 100, 0, 0], [0, 0, 0, 50]] {
         let msg = raw(counts, &[0x00, 0x00, 0x01, 0x00, 0x01]);
-        assert!(Message::parse(&msg).is_err(), "{counts:?}");
+        assert!(parse(&msg).is_err(), "{counts:?}");
     }
 }
 
@@ -89,10 +105,7 @@ fn rdlength_overflowing_usize_arithmetic() {
     body.extend_from_slice(&[0xff, 0xff]); // rdlength
     body.extend_from_slice(&[1, 2]);
     let msg = raw([0, 1, 0, 0], &body);
-    assert!(matches!(
-        Message::parse(&msg),
-        Err(WireError::Truncated { .. })
-    ));
+    assert!(matches!(parse(&msg), Err(WireError::Truncated { .. })));
 }
 
 #[test]
@@ -105,7 +118,7 @@ fn opt_with_truncated_option_tlv() {
     body.extend_from_slice(&6u16.to_be_bytes()); // rdlength
     body.extend_from_slice(&[0, 10, 0, 200, 1, 2]); // opt len 200, 2 bytes
     let msg = raw([0, 0, 0, 1], &body);
-    assert!(Message::parse(&msg).is_err());
+    assert!(parse(&msg).is_err());
 }
 
 #[test]
@@ -119,7 +132,7 @@ fn txt_with_zero_length_strings() {
     body.extend_from_slice(&3u16.to_be_bytes());
     body.extend_from_slice(&[0, 0, 0]);
     let msg = raw([0, 1, 0, 0], &body);
-    let parsed = Message::parse(&msg).expect("legal TXT");
+    let parsed = parse(&msg).expect("legal TXT");
     assert_eq!(parsed.answers.len(), 1);
 }
 
@@ -135,15 +148,15 @@ fn soa_name_crossing_rdata_boundary() {
     body.extend_from_slice(&4u16.to_be_bytes()); // rdlength: way too short
     body.extend_from_slice(&[0x00, 0x00, 0x00, 0x00]);
     let msg = raw([0, 1, 0, 0], &body);
-    assert!(Message::parse(&msg).is_err());
+    assert!(parse(&msg).is_err());
 }
 
 #[test]
 fn empty_and_header_only_inputs() {
-    assert!(Message::parse(&[]).is_err());
-    assert!(Message::parse(&[0u8; 11]).is_err());
+    assert!(parse(&[]).is_err());
+    assert!(parse(&[0u8; 11]).is_err());
     let ok = raw([0, 0, 0, 0], &[]);
-    let parsed = Message::parse(&ok).expect("header-only is a legal message");
+    let parsed = parse(&ok).expect("header-only is a legal message");
     assert!(parsed.questions.is_empty());
 }
 
@@ -153,7 +166,7 @@ fn trailing_bytes_after_sections_are_tolerated() {
     // ignores the rest
     let mut msg = raw([1, 0, 0, 0], &[0x00, 0x00, 0x01, 0x00, 0x01]);
     msg.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-    assert!(Message::parse(&msg).is_ok());
+    assert!(parse(&msg).is_ok());
 }
 
 #[test]
@@ -178,8 +191,89 @@ fn fuzz_smoke_random_blobs() {
     for _ in 0..20_000 {
         let len = rng.gen_range(0..160);
         let blob: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let _ = Message::parse(&blob);
+        let _ = parse(&blob);
         let _ = Name::parse(&blob, 0);
         let _ = dns_wire::tcp::deframe_all(&blob);
     }
+}
+
+#[test]
+fn header_view_agrees_with_parse_on_seeded_mutations() {
+    use dns_wire::builder::MessageBuilder;
+    use dns_wire::edns::Edns;
+    use dns_wire::message::Record;
+    use dns_wire::rdata::RData;
+    use dns_wire::types::{RType, Rcode};
+    use rand::{Rng, SeedableRng};
+
+    let n = |s: &str| -> Name { s.parse().unwrap() };
+    let query = MessageBuilder::query(7, n("www.example.nl"), RType::A)
+        .with_edns(1232, true)
+        .build();
+    let mut referral = query.clone();
+    referral.header.response = true;
+    referral.header.rcode = Rcode::BadVers; // extended bits in the OPT
+    referral.edns = Some(Edns::with_size(4096, true));
+    for ns in ["ns1.example.nl", "ns2.example.nl"] {
+        referral
+            .authorities
+            .push(Record::new(n("example.nl"), 3600, RData::Ns(n(ns))));
+        referral.additionals.push(Record::new(
+            n(ns),
+            3600,
+            RData::A("192.0.2.1".parse().unwrap()),
+        ));
+    }
+    referral.authorities.push(Record::new(
+        n("example.nl"),
+        3600,
+        RData::Ds {
+            key_tag: 1,
+            algorithm: 8,
+            digest_type: 2,
+            digest: vec![0xab; 32],
+        },
+    ));
+    let mut nxdomain = query.clone();
+    nxdomain.header.response = true;
+    nxdomain.header.rcode = Rcode::NxDomain;
+    nxdomain.authorities.push(Record::new(
+        n("nl"),
+        600,
+        RData::Soa {
+            mname: n("ns1.dns.nl"),
+            rname: n("hostmaster.domain-registry.nl"),
+            serial: 1,
+            refresh: 2,
+            retry: 3,
+            expire: 4,
+            minimum: 5,
+        },
+    ));
+    let seeds: Vec<Vec<u8>> = [query, referral, nxdomain]
+        .iter()
+        .map(|m| m.encode().unwrap())
+        .collect();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1eaf);
+    let (mut ok, mut err) = (0, 0);
+    for seed in &seeds {
+        assert!(parse(seed).is_ok());
+        for end in 0..seed.len() {
+            let _ = parse(&seed[..end]);
+        }
+        for _ in 0..3000 {
+            let mut m = seed.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..m.len());
+                m[at] ^= rng.gen::<u8>() | 1;
+            }
+            match parse(&m) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+    }
+    // the mutations reach both outcomes, so agreement is tested on each
+    assert!(ok > 100 && err > 100, "ok {ok} err {err}");
 }

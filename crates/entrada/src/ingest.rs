@@ -143,9 +143,9 @@ impl<S: RecordSource> CaptureIngest<S> {
             // TCP payloads carry RFC 1035 two-octet length prefixes and
             // may coalesce several DNS messages per captured segment
             // (real pcap imports do); absorb each message.
-            netbase::flow::Transport::Tcp => match dns_wire::tcp::deframe_all(&rec.payload) {
-                Ok(messages) if !messages.is_empty() => {
-                    for wire in &messages {
+            netbase::flow::Transport::Tcp => match dns_wire::tcp::split_all(&rec.payload) {
+                Ok(messages) if !rec.payload.is_empty() => {
+                    for wire in messages {
                         self.absorb_message(&rec, wire);
                     }
                 }
@@ -153,37 +153,32 @@ impl<S: RecordSource> CaptureIngest<S> {
                     // an unframed/truncated TCP payload (or one with no
                     // messages at all): one malformed message unit
                     self.stats.messages += 1;
-                    self.stats.malformed += 1;
-                    self.malformed_metric.inc();
+                    self.malformed();
                 }
             },
-            netbase::flow::Transport::Udp => self.absorb_message(&rec, &rec.payload.clone()),
+            netbase::flow::Transport::Udp => self.absorb_message(&rec, &rec.payload),
         }
     }
 
-    /// Absorb one deframed DNS message from frame `rec`.
+    fn malformed(&mut self) {
+        self.stats.malformed += 1;
+        self.malformed_metric.inc();
+    }
+
+    /// Absorb one deframed DNS message from frame `rec`: a query is
+    /// parsed in full, a response only read through its header.
     fn absorb_message(&mut self, rec: &CaptureRecord, wire: &[u8]) {
         self.stats.messages += 1;
-        let msg = match Message::parse(wire) {
-            Ok(m) => m,
-            Err(_) => {
-                self.stats.malformed += 1;
-                self.malformed_metric.inc();
-                return;
-            }
-        };
         match rec.direction {
             Direction::Query => {
-                let question = match msg.question() {
-                    Some(q) => q.clone(),
-                    None => {
-                        // a query with an empty question section joins
-                        // nothing and aggregates nowhere: malformed, so
-                        // the message accounting stays exact
-                        self.stats.malformed += 1;
-                        self.malformed_metric.inc();
-                        return;
-                    }
+                let Ok(msg) = Message::parse(wire) else {
+                    return self.malformed();
+                };
+                let Some(question) = msg.questions.into_iter().next() else {
+                    // a query with an empty question section joins
+                    // nothing and aggregates nowhere: malformed, so
+                    // the message accounting stays exact
+                    return self.malformed();
                 };
                 let (asn, provider, public_dns) = self.enricher.enrich(rec.flow.src);
                 let row = QueryRow {
@@ -195,7 +190,7 @@ impl<S: RecordSource> CaptureIngest<S> {
                     qname: question.qname,
                     qtype: question.qtype,
                     edns_size: msg.edns.as_ref().map(|e| e.udp_payload_size),
-                    do_bit: msg.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false),
+                    do_bit: msg.edns.as_ref().is_some_and(|e| e.dnssec_ok),
                     rcode: None,
                     response_size: None,
                     response_truncated: false,
@@ -218,19 +213,22 @@ impl<S: RecordSource> CaptureIngest<S> {
                 }
             }
             Direction::Response => {
+                let Ok(header) = Message::parse_header(wire) else {
+                    return self.malformed();
+                };
                 let key = TxnKey {
                     flow: rec.flow.reversed(),
-                    id: msg.header.id,
+                    id: header.id,
                 };
                 match self.pending.remove(&key) {
                     Some(mut row) => {
-                        row.rcode = Some(msg.header.rcode);
+                        row.rcode = Some(header.rcode);
                         // the deframed DNS message length for both
                         // transports — a raw TCP payload length would
                         // inflate every TCP response by the 2-byte
                         // RFC 1035 length prefix relative to UDP
                         row.response_size = Some(wire.len() as u32);
-                        row.response_truncated = msg.header.truncated;
+                        row.response_truncated = header.truncated;
                         if rec.tcp_rtt_us != 0 {
                             row.tcp_rtt_us = rec.tcp_rtt_us;
                         }

@@ -15,6 +15,14 @@
 //! `authd` respond path and the wire codec is *asserted* rather than
 //! assumed.
 //!
+//! The process-wide totals are kept per thread too, in cache-line-sized
+//! slots that [`totals`] sums on read: a thread only ever writes its own
+//! line, so the generator and analyzer threads of a pipeline do not
+//! contend on a shared counter. Counting is still work on every
+//! allocation (a handful of thread-local bumps and two uncontended
+//! atomic stores); perfbench's end-to-end numbers include it, since the
+//! `dnscentral` binary installs the allocator.
+//!
 //! When the allocator is not installed (every library user of `obs`)
 //! all counters stay at zero and [`installed`] reports `false`; the
 //! module costs nothing.
@@ -22,14 +30,34 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Process-wide allocation count.
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide allocated-byte count (bytes requested, not freed).
-static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
+/// One thread's share of the process-wide totals, alone on its cache
+/// line.
+#[repr(align(64))]
+struct Slot {
+    allocs: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// Slots handed out to threads in creation order. The last one is
+/// shared by every thread past the first `SLOTS - 1` (and by threads
+/// whose TLS is already torn down), so it is the only one updated with
+/// read-modify-write atomics.
+const SLOTS: usize = 64;
+const SHARED_SLOT: usize = SLOTS - 1;
+static TOTALS: [Slot; SLOTS] = [const {
+    Slot {
+        allocs: AtomicU64::new(0),
+        bytes: AtomicU64::new(0),
+    }
+}; SLOTS];
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
+    /// This thread's slot in [`TOTALS`]; `usize::MAX` until its first
+    /// allocation.
+    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_CURRENT: Cell<u64> = const { Cell::new(0) };
@@ -37,16 +65,36 @@ thread_local! {
 }
 
 /// A counting global allocator wrapping [`System`].
-///
-/// Counting is two relaxed atomic adds plus four const-initialized
-/// thread-local bumps per allocation — cheap enough to leave installed
-/// in the `dnscentral` binary permanently.
 pub struct CountingAlloc;
+
+/// The calling thread's slot index, claimed on first use.
+#[inline]
+fn thread_slot() -> usize {
+    THREAD_SLOT
+        .try_with(|s| {
+            if s.get() == usize::MAX {
+                let claimed = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
+                s.set(claimed.min(SHARED_SLOT));
+            }
+            s.get()
+        })
+        .unwrap_or(SHARED_SLOT)
+}
 
 #[inline]
 fn note_alloc(size: u64) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_BYTES.fetch_add(size, Ordering::Relaxed);
+    let slot = thread_slot();
+    let totals = &TOTALS[slot];
+    if slot == SHARED_SLOT {
+        totals.allocs.fetch_add(1, Ordering::Relaxed);
+        totals.bytes.fetch_add(size, Ordering::Relaxed);
+    } else {
+        // the owning thread is the only writer: a plain store suffices
+        let bump =
+            |c: &AtomicU64, by: u64| c.store(c.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+        bump(&totals.allocs, 1);
+        bump(&totals.bytes, size);
+    }
     // TLS may be unavailable during thread teardown; skip quietly then
     // (the process-wide totals above still see the event).
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
@@ -132,12 +180,15 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, ScopeStats) {
     )
 }
 
-/// Process-wide `(allocation_count, bytes_allocated)` since start.
+/// Process-wide `(allocation_count, bytes_allocated)` since start: the
+/// sum over every thread's slot, exited threads included.
 pub fn totals() -> (u64, u64) {
-    (
-        TOTAL_ALLOCS.load(Ordering::Relaxed),
-        TOTAL_BYTES.load(Ordering::Relaxed),
-    )
+    TOTALS.iter().fold((0, 0), |(allocs, bytes), slot| {
+        (
+            allocs + slot.allocs.load(Ordering::Relaxed),
+            bytes + slot.bytes.load(Ordering::Relaxed),
+        )
+    })
 }
 
 /// Probe whether [`CountingAlloc`] is actually installed as the global

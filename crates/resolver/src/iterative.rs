@@ -325,7 +325,7 @@ impl IterativeResolver {
         for _ in 0..64 {
             // pick the wire question
             let (send_qname, send_qtype) = if self.config.qmin {
-                let child = ancestor_at(name, known_depth + 1);
+                let child = name.ancestor(known_depth + 1);
                 if &child == name {
                     (name.clone(), rtype)
                 } else {
@@ -614,15 +614,6 @@ fn answer_ttl(resp: &Message, owner: &Name) -> u32 {
         .map(|r| r.ttl)
         .min()
         .unwrap_or(DEFAULT_ANSWER_TTL)
-}
-
-/// The ancestor of `name` with exactly `depth` labels.
-fn ancestor_at(name: &Name, depth: usize) -> Name {
-    let mut n = name.clone();
-    while n.label_count() > depth {
-        n = n.parent();
-    }
-    n
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ impl Authoritative {
     /// the caller from the zone model, since junk names have none).
     pub fn respond(&self, query: &Message, signed_delegation: bool) -> Answer {
         let question = match query.question() {
-            Some(q) => q.clone(),
+            Some(q) => q,
             None => {
                 let msg = MessageBuilder::response(query, Rcode::FormErr).build();
                 return Answer {
@@ -74,7 +74,7 @@ impl Authoritative {
         let lookup = self.zone.classify(&question.qname);
         match lookup {
             Lookup::NxDomain => self.nxdomain(query, dnssec_ok),
-            Lookup::InZone => self.in_zone(query, &question, dnssec_ok),
+            Lookup::InZone => self.in_zone(query, question, dnssec_ok),
             Lookup::Delegated => {
                 let delegation = self.zone.minimized_qname(&question.qname);
                 match question.qtype {
@@ -325,8 +325,9 @@ impl Authoritative {
 
     /// Deterministic NS host names for a delegation.
     fn ns_name(&self, delegation: &Name, i: u8) -> Name {
+        assert!(i < 9, "NS host labels are ns1..ns9");
         delegation
-            .child(format!("ns{}", i + 1).as_bytes())
+            .child(&[b'n', b's', b'1' + i])
             .unwrap_or_else(|_| delegation.clone())
     }
 }

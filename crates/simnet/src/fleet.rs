@@ -350,15 +350,20 @@ fn rtt_tables(
 
 /// Draw from a `(value, weight)` distribution with a uniform `u` in [0,1).
 pub fn sample_dist(dist: &[(u16, f64)], u: f64) -> u16 {
+    pick_dist(dist, u).unwrap_or(0)
+}
+
+/// [`sample_dist`] over any value type; `None` for an empty distribution.
+pub(crate) fn pick_dist<T: Copy>(dist: &[(T, f64)], u: f64) -> Option<T> {
     let total: f64 = dist.iter().map(|(_, w)| w).sum();
     let mut acc = 0.0;
     for (v, w) in dist {
         acc += w / total;
         if u < acc {
-            return *v;
+            return Some(*v);
         }
     }
-    dist.last().map(|(v, _)| *v).unwrap_or(0)
+    dist.last().map(|(v, _)| *v)
 }
 
 /// Pick the fleet's hottest `sites.len()` resolver indices and assign

@@ -155,9 +155,11 @@ impl Recorder {
         tcp_direct: bool,
     ) -> Delivery {
         let query_wire = query.encode().expect("queries encode");
+        // One encoding of the response serves the TCP answer, the UDP
+        // answer (whole or cut), the RRL slip and the TC=1 retry.
+        let full = response.encode().expect("responses encode");
         if tcp_direct {
-            let resp_wire = response.encode().expect("responses encode");
-            self.tcp_pair(query_wire, resp_wire, path, t);
+            self.tcp_pair(query_wire, full, path, t);
             return Delivery::Tcp;
         }
 
@@ -181,26 +183,28 @@ impl Recorder {
             }
             None => RrlAction::Respond,
         };
-        let (resp_wire, truncated) = match action {
-            RrlAction::Respond => response
-                .encode_with_limit(limit)
-                .expect("responses always fit after truncation"),
+        let (resp_wire, retry_resp) = match action {
+            RrlAction::Respond if full.len() <= limit => (full, None),
+            RrlAction::Respond => {
+                let mut cut = full.clone();
+                response
+                    .fit_encoded(&mut cut, limit)
+                    .expect("responses always fit after truncation");
+                (cut, Some(full))
+            }
             RrlAction::Slip => {
                 self.stats.rrl_slips += 1;
-                let mut slip = response.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                (slip.encode().expect("slip encodes"), true)
+                let mut slip = full.clone();
+                response.truncate_encoded(&mut slip, 0);
+                (slip, Some(full))
             }
             RrlAction::Drop => {
                 self.stats.rrl_drops += 1;
-                (Vec::new(), false)
+                (Vec::new(), None)
             }
         };
         let flow = self.flow(path, Transport::Udp);
-        let retry_query = truncated.then(|| query_wire.clone());
+        let retry_query = retry_resp.is_some().then(|| query_wire.clone());
         self.push(t, Direction::Query, flow, 0, query_wire);
         self.stats.queries += 1;
         if action == RrlAction::Drop {
@@ -209,14 +213,13 @@ impl Recorder {
         let answered = t + SimDuration::from_micros(path.rtt_us as u64);
         self.push(answered, Direction::Response, flow.reversed(), 0, resp_wire);
         self.stats.responses += 1;
-        let Some(mut retry_query) = retry_query else {
+        let (Some(mut retry_query), Some(mut retry_resp)) = (retry_query, retry_resp) else {
             return Delivery::Udp;
         };
         // TC=1: retry over TCP as a fresh transaction. The answer is the
         // full response under the retry's id.
         self.stats.truncated_udp += 1;
         let id: u16 = self.rng.gen();
-        let mut retry_resp = response.encode().expect("responses encode");
         set_id(&mut retry_query, id);
         set_id(&mut retry_resp, id);
         let retry_at = answered + SimDuration::from_micros(2000);

@@ -21,38 +21,55 @@ const SYLLABLES: [&str; 64] = [
 /// assert_eq!(zonedb::names::encode_label(0), "ba");
 /// assert_eq!(zonedb::names::decode_label("ba"), Some(0));
 /// ```
-pub fn encode_label(mut idx: u64) -> String {
-    let mut digits = Vec::new();
-    loop {
-        digits.push((idx % 64) as usize);
-        idx /= 64;
-        if idx == 0 {
-            break;
-        }
+pub fn encode_label(idx: u64) -> String {
+    let mut buf = [0; MAX_LABEL_OCTETS];
+    String::from_utf8(label_octets(idx, &mut buf).to_vec()).expect("syllables are ASCII")
+}
+
+/// Longest encoding: 11 base-64 digits of a `u64`, two octets each.
+pub(crate) const MAX_LABEL_OCTETS: usize = 22;
+
+/// [`encode_label`] into a caller's buffer, allocating nothing.
+pub(crate) fn label_octets(idx: u64, buf: &mut [u8; MAX_LABEL_OCTETS]) -> &[u8] {
+    let digits = digit_count(idx);
+    for i in 0..digits {
+        let syllable = SYLLABLES[(idx >> (6 * (digits - 1 - i))) as usize % 64].as_bytes();
+        buf[2 * i..2 * i + 2].copy_from_slice(syllable);
     }
-    let mut out = String::with_capacity(digits.len() * 2);
-    for &d in digits.iter().rev() {
-        out.push_str(SYLLABLES[d]);
+    &buf[..2 * digits]
+}
+
+/// Base-64 digits in `idx`'s encoding (at least one).
+fn digit_count(idx: u64) -> usize {
+    let mut digits = 1;
+    let mut rest = idx >> 6;
+    while rest > 0 {
+        digits += 1;
+        rest >>= 6;
     }
-    out
+    digits
 }
 
 /// Decode a syllable label back to its index; `None` if the string is
 /// not a valid encoding (odd length, unknown syllable, non-canonical
 /// leading zero).
 pub fn decode_label(label: &str) -> Option<u64> {
-    if label.is_empty() || !label.len().is_multiple_of(2) || label.len() > 22 {
+    decode_octets(label.as_bytes())
+}
+
+/// [`decode_label`] over raw label octets (case-sensitive: syllables
+/// are lowercase).
+pub(crate) fn decode_octets(bytes: &[u8]) -> Option<u64> {
+    if bytes.is_empty() || !bytes.len().is_multiple_of(2) || bytes.len() > MAX_LABEL_OCTETS {
         return None;
     }
     let mut idx: u64 = 0;
-    let bytes = label.as_bytes();
     for chunk in bytes.chunks(2) {
-        let syl = std::str::from_utf8(chunk).ok()?;
-        let d = SYLLABLES.iter().position(|&s| s == syl)? as u64;
+        let d = SYLLABLES.iter().position(|s| s.as_bytes() == chunk)? as u64;
         idx = idx.checked_mul(64)?.checked_add(d)?;
     }
     // reject non-canonical encodings like "baba" for 0 ("ba")
-    if encode_label(idx).len() != label.len() {
+    if 2 * digit_count(idx) != bytes.len() {
         return None;
     }
     Some(idx)

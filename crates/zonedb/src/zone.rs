@@ -1,7 +1,7 @@
 //! Authoritative zone models for `.nl`, `.nz` and the root.
 
-use crate::names::{decode_label, encode_label, tld_label};
-use dns_wire::name::Name;
+use crate::names::{decode_octets, label_octets, tld_label, MAX_LABEL_OCTETS};
+use dns_wire::name::{Name, MAX_LABEL_LEN};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -73,7 +73,8 @@ pub struct ZoneModel {
     /// Fraction of registered domains that are DNSSEC-signed (have DS
     /// records at the parent); drives DS-query volume.
     pub signed_fraction: f64,
-    tld_cache: Option<HashMap<Name, u64>>,
+    /// Root model only: lowercase TLD label -> registration index.
+    tld_cache: Option<HashMap<Vec<u8>, u64>>,
 }
 
 impl PartialEq for ZoneModel {
@@ -109,8 +110,7 @@ impl ZoneModel {
     pub fn root(tlds: usize) -> Self {
         let mut cache = HashMap::with_capacity(tlds);
         for i in 0..tlds {
-            let label = tld_label(i);
-            cache.insert(label.parse().expect("generated TLDs parse"), i as u64);
+            cache.insert(tld_label(i).into_bytes(), i as u64);
         }
         ZoneModel {
             apex: Name::root(),
@@ -144,21 +144,21 @@ impl ZoneModel {
             ZoneKind::SecondLevel { slds } => {
                 assert!(idx < *slds, "index out of zone");
                 self.apex
-                    .child(encode_label(idx).as_bytes())
+                    .child(label_octets(idx, &mut [0; MAX_LABEL_OCTETS]))
                     .expect("generated labels are short")
             }
             ZoneKind::MixedLevel { slds, thirds } => {
                 assert!(idx < slds + thirds, "index out of zone");
                 if idx < *slds {
                     self.apex
-                        .child(encode_label(idx).as_bytes())
+                        .child(label_octets(idx, &mut [0; MAX_LABEL_OCTETS]))
                         .expect("generated labels are short")
                 } else {
                     let t = idx - slds;
                     let (sub, local) = third_level_split(t, *thirds);
                     self.apex
                         .child(sub.as_bytes())
-                        .and_then(|z| z.child(encode_label(local).as_bytes()))
+                        .and_then(|z| z.child(label_octets(local, &mut [0; MAX_LABEL_OCTETS])))
                         .expect("generated labels are short")
                 }
             }
@@ -194,45 +194,42 @@ impl ZoneModel {
             return Lookup::NxDomain;
         }
         match &self.kind {
-            ZoneKind::SecondLevel { slds } => {
-                let sld = ancestor_at(qname, 2);
-                match leftmost_index(&sld) {
-                    Some(idx) if idx < *slds => Lookup::Delegated,
-                    _ => Lookup::NxDomain,
-                }
-            }
+            ZoneKind::SecondLevel { slds } => match index_at(qname, 2) {
+                Some(idx) if idx < *slds => Lookup::Delegated,
+                _ => Lookup::NxDomain,
+            },
             ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = ancestor_at(qname, 2);
-                let sld_label = label_string(&sld);
                 // structural subzone like co.nz?
-                if let Some(sub_pos) = NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
+                if let Some(sub_pos) = subzone_at(qname) {
                     if qname.label_count() == 2 {
                         return Lookup::InZone;
                     }
-                    let third = ancestor_at(qname, 3);
-                    match leftmost_index(&third) {
+                    match index_at(qname, 3) {
                         Some(local) if third_level_member(sub_pos, local, *thirds) => {
                             Lookup::Delegated
                         }
                         _ => Lookup::NxDomain,
                     }
                 } else {
-                    match leftmost_index(&sld) {
+                    match index_at(qname, 2) {
                         Some(idx) if idx < *slds => Lookup::Delegated,
                         _ => Lookup::NxDomain,
                     }
                 }
             }
-            ZoneKind::Root { .. } => {
-                let tld = ancestor_at(qname, 1);
-                let cache = self.tld_cache.as_ref().expect("root model has cache");
-                if cache.contains_key(&tld) {
-                    Lookup::Delegated
-                } else {
-                    Lookup::NxDomain
-                }
-            }
+            ZoneKind::Root { .. } => match self.tld_index(qname) {
+                Some(_) => Lookup::Delegated,
+                None => Lookup::NxDomain,
+            },
         }
+    }
+
+    /// The registration index of `qname`'s TLD in the root model.
+    fn tld_index(&self, qname: &Name) -> Option<u64> {
+        let cache = self.tld_cache.as_ref().expect("root model has cache");
+        cache
+            .get(label_at(qname, 1, &mut [0; MAX_LABEL_LEN]))
+            .copied()
     }
 
     /// The qname a QNAME-minimizing resolver (RFC 7816) would send to
@@ -247,16 +244,12 @@ impl ZoneModel {
     pub fn minimized_qname(&self, full: &Name) -> Name {
         let apex_depth = self.apex.label_count();
         match &self.kind {
-            ZoneKind::MixedLevel { .. } => {
-                let sld = ancestor_at(full, 2);
-                if NZ_SUBZONES.iter().any(|(s, _)| *s == label_string(&sld))
-                    && full.label_count() >= 3
-                {
-                    return ancestor_at(full, 3);
-                }
-                ancestor_at(full, apex_depth + 1)
+            ZoneKind::MixedLevel { .. }
+                if subzone_at(full).is_some() && full.label_count() >= 3 =>
+            {
+                full.ancestor(3)
             }
-            _ => ancestor_at(full, apex_depth + 1),
+            _ => full.ancestor(apex_depth + 1),
         }
     }
 
@@ -270,25 +263,18 @@ impl ZoneModel {
             return None;
         }
         match &self.kind {
-            ZoneKind::SecondLevel { .. } => leftmost_index(&ancestor_at(qname, 2)),
-            ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = ancestor_at(qname, 2);
-                let sld_label = label_string(&sld);
-                match NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
-                    Some(sub_pos) => {
-                        let local = leftmost_index(&ancestor_at(qname, 3))?;
-                        let start: u64 = (0..sub_pos)
-                            .map(|j| share_of(j, NZ_SUBZONES[j].1, *thirds))
-                            .sum();
-                        Some(slds + start + local)
-                    }
-                    None => leftmost_index(&sld),
+            ZoneKind::SecondLevel { .. } => index_at(qname, 2),
+            ZoneKind::MixedLevel { slds, thirds } => match subzone_at(qname) {
+                Some(sub_pos) => {
+                    let local = index_at(qname, 3)?;
+                    let start: u64 = (0..sub_pos)
+                        .map(|j| share_of(j, NZ_SUBZONES[j].1, *thirds))
+                        .sum();
+                    Some(slds + start + local)
                 }
-            }
-            ZoneKind::Root { .. } => {
-                let tld = ancestor_at(qname, 1);
-                self.tld_cache.as_ref().and_then(|c| c.get(&tld).copied())
-            }
+                None => index_at(qname, 2),
+            },
+            ZoneKind::Root { .. } => self.tld_index(qname),
         }
     }
 
@@ -341,35 +327,33 @@ fn third_level_member(sub_pos: usize, local: u64, thirds: u64) -> bool {
     local < share_of(sub_pos, NZ_SUBZONES[sub_pos].1, thirds)
 }
 
-/// The ancestor of `name` with exactly `depth` labels (`name` itself if
-/// already at or below that depth).
-fn ancestor_at(name: &Name, depth: usize) -> Name {
-    let mut n = name.clone();
-    while n.label_count() > depth {
-        n = n.parent();
-    }
-    n
+/// The leftmost label of `name`'s ancestor at `depth` (of `name` itself
+/// if it is no deeper), ASCII-lowercased into `buf`.
+fn label_at<'b>(name: &Name, depth: usize, buf: &'b mut [u8; MAX_LABEL_LEN]) -> &'b [u8] {
+    let wire = name.ancestor_wire(depth);
+    let label = &mut buf[..wire[0] as usize];
+    label.copy_from_slice(&wire[1..1 + label.len()]);
+    label.make_ascii_lowercase();
+    label
 }
 
-/// The leftmost label as a lowercase string.
-fn label_string(name: &Name) -> String {
-    name.labels()
-        .next()
-        .map(|l| String::from_utf8_lossy(l).to_lowercase())
-        .unwrap_or_default()
+/// Decode the leftmost label of `name`'s ancestor at `depth` as a
+/// registration index.
+fn index_at(name: &Name, depth: usize) -> Option<u64> {
+    decode_octets(label_at(name, depth, &mut [0; MAX_LABEL_LEN]))
 }
 
-/// Decode the leftmost label of `name` as a registration index.
-fn leftmost_index(name: &Name) -> Option<u64> {
-    name.labels().next().and_then(|l| {
-        let s = std::str::from_utf8(l).ok()?;
-        decode_label(&s.to_lowercase())
-    })
+/// Position in [`NZ_SUBZONES`] of the second-level label of `name`.
+fn subzone_at(name: &Name) -> Option<usize> {
+    let mut buf = [0; MAX_LABEL_LEN];
+    let sld = label_at(name, 2, &mut buf);
+    NZ_SUBZONES.iter().position(|(s, _)| s.as_bytes() == sld)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::encode_label;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()

@@ -51,8 +51,10 @@ use std::process::ExitCode;
 use warehouse::Warehouse;
 
 /// Counting global allocator: makes allocations a measured quantity, so
-/// `dnscentral bench` reports allocs/op next to ns/op (see `obs::alloc`;
-/// the per-event overhead is a few relaxed atomic adds).
+/// `dnscentral bench` reports allocs/op next to ns/op (see `obs::alloc`).
+/// It is not free: every allocation also bumps thread-local counters and
+/// the thread's own cache-line slot of the process-wide totals, and
+/// every run of this binary, measured or not, pays that.
 #[global_allocator]
 static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
@@ -664,11 +666,11 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let path = positional
                 .get(1)
                 .ok_or("usage: dnscentral inspect <capture.dnscap>")?;
-            inspect_capture(Path::new(path.as_str()));
+            inspect_capture(Path::new(path.as_str()))?;
         }
         Some("export-pcap") => {
             let [input, output] = two_paths(positional, "export-pcap <in.dnscap> <out.pcap>")?;
-            export_pcap(Path::new(input), Path::new(output));
+            export_pcap(Path::new(input), Path::new(output))?;
         }
         Some("analyze-pcap") => {
             let input = positional
@@ -680,11 +682,11 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                 "root" => zonedb::zone::ZoneModel::root(1514),
                 other => return Err(format!("unknown zone {other:?} (nl|nz|root)")),
             };
-            analyze_external_pcap(Path::new(input.as_str()), zone);
+            analyze_external_pcap(Path::new(input.as_str()), zone)?;
         }
         Some("import-pcap") => {
             let [input, output] = two_paths(positional, "import-pcap <in.pcap> <out.dnscap>")?;
-            import_pcap_cli(Path::new(input), Path::new(output));
+            import_pcap_cli(Path::new(input), Path::new(output))?;
         }
         Some("concentration") => {
             let specs = [Vantage::Nl, Vantage::Nz, Vantage::BRoot]
@@ -717,9 +719,9 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let path = positional
                 .get(1)
                 .ok_or("usage: dnscentral scenario <scenario.json>")?;
-            let text = std::fs::read_to_string(path).expect("scenario file reads");
-            let spec: simnet::scenario::DatasetSpec =
-                serde_json::from_str(&text).expect("valid scenario JSON");
+            let text = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+            let spec: simnet::scenario::DatasetSpec = serde_json::from_slice(&text)
+                .map_err(|e| format!("{path}: not a scenario JSON: {e}"))?;
             let vantage = spec.vantage;
             let opts = opts_for(&spec.id());
             let run = run_spec_with(spec, scale, seed, &opts);
@@ -1520,26 +1522,42 @@ fn full_report(scale: Scale, seed: u64, shards: usize, jobs: usize) {
 
 /// Convert a `.dnscap` into a classic libpcap file (Ethernet/IP/UDP/TCP
 /// with valid checksums) for tcpdump/Wireshark.
-fn export_pcap(input: &Path, output: &Path) {
-    use netbase::capture::CaptureReader;
+fn export_pcap(input: &Path, output: &Path) -> Result<(), String> {
     use netbase::pcap::PcapWriter;
-    let infile = std::fs::File::open(input).expect("input opens");
-    let reader = CaptureReader::new(std::io::BufReader::new(infile)).expect("valid .dnscap header");
-    let outfile = std::fs::File::create(output).expect("output creates");
-    let mut writer = PcapWriter::new(std::io::BufWriter::new(outfile)).expect("pcap header writes");
+    let reader = open_capture(input)?;
+    let write_err = |e: std::io::Error| format!("{}: {e}", output.display());
+    let outfile = std::fs::File::create(output).map_err(write_err)?;
+    let mut writer = PcapWriter::new(std::io::BufWriter::new(outfile)).map_err(write_err)?;
     let mut errors = 0u64;
     for item in reader {
         match item {
-            Ok(rec) => writer.write_record(&rec).expect("pcap frame writes"),
+            Ok(rec) => writer.write_record(&rec).map_err(write_err)?,
             Err(_) => errors += 1,
         }
     }
     let frames = writer.frames_written();
-    writer.finish().expect("flush");
+    writer.finish().map_err(write_err)?;
     println!(
         "{frames} frames -> {} ({errors} capture errors skipped)",
         output.display()
     );
+    Ok(())
+}
+
+/// Open a `.dnscap` for reading, or say why it cannot be read.
+fn open_capture(
+    path: &Path,
+) -> Result<netbase::capture::CaptureReader<std::io::BufReader<std::fs::File>>, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    netbase::capture::CaptureReader::new(std::io::BufReader::new(file))
+        .map_err(|e| format!("{}: not a .dnscap capture: {e}", path.display()))
+}
+
+/// Read a libpcap file and pull its DNS frames out, or say why not.
+fn read_pcap(path: &Path) -> Result<(Vec<netbase::capture::CaptureRecord>, u64), String> {
+    let data = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    netbase::pcap::import_pcap(&data)
+        .ok_or_else(|| format!("{}: not a libpcap capture", path.display()))
 }
 
 /// Analyze an externally captured pcap without a scenario: cloud
@@ -1547,7 +1565,7 @@ fn export_pcap(input: &Path, output: &Path) {
 /// the Figure 1/4/5-style numbers are meaningful on real traffic; the
 /// synthetic rest-of-Internet plan is NOT used (non-CP sources simply
 /// stay unattributed).
-fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
+fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) -> Result<(), String> {
     use asdb::mapping::AsMapper;
     use asdb::registry::AsRegistry;
     use dnscentral_core::DatasetAnalysis;
@@ -1556,8 +1574,7 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
     use netbase::capture::{CaptureReader, CaptureWriter};
     use netbase::trie::PrefixTrie;
 
-    let data = std::fs::read(input).expect("input reads");
-    let (records, skipped) = netbase::pcap::import_pcap(&data).expect("valid pcap");
+    let (records, skipped) = read_pcap(input)?;
     eprintln!("[{} DNS frames imported, {skipped} skipped]", records.len());
 
     // a CP-only mapper: real, published address space only
@@ -1621,37 +1638,38 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
         "[ingest: {} frames, {} malformed, {} unanswered, {} capture errors]",
         stats.frames, stats.malformed, stats.unanswered_queries, stats.capture_errors
     );
+    Ok(())
 }
 
 /// Convert a libpcap file back into a `.dnscap` (externally captured
 /// DNS traffic entering the analysis pipeline).
-fn import_pcap_cli(input: &Path, output: &Path) {
+fn import_pcap_cli(input: &Path, output: &Path) -> Result<(), String> {
     use netbase::capture::CaptureWriter;
-    let data = std::fs::read(input).expect("input reads");
-    let (records, skipped) = netbase::pcap::import_pcap(&data).expect("valid pcap file");
-    let outfile = std::fs::File::create(output).expect("output creates");
-    let mut writer = CaptureWriter::new(std::io::BufWriter::new(outfile)).expect("header writes");
+    let (records, skipped) = read_pcap(input)?;
+    let write_err = |e: std::io::Error| format!("{}: {e}", output.display());
+    let outfile = std::fs::File::create(output).map_err(write_err)?;
+    let mut writer = CaptureWriter::new(std::io::BufWriter::new(outfile)).map_err(write_err)?;
     for rec in &records {
-        writer.write(rec).expect("record writes");
+        writer.write(rec).map_err(write_err)?;
     }
-    writer.finish().expect("flush");
+    writer.finish().map_err(write_err)?;
     println!(
         "{} records -> {} ({skipped} non-DNS frames skipped)",
         records.len(),
         output.display()
     );
+    Ok(())
 }
 
 /// Capture forensics: walk any `.dnscap` without needing the scenario
 /// that produced it.
-fn inspect_capture(path: &Path) {
+fn inspect_capture(path: &Path) -> Result<(), String> {
     use dns_wire::message::Message;
-    use netbase::capture::{CaptureReader, Direction};
+    use netbase::capture::Direction;
     use netbase::flow::Transport;
     use std::collections::HashMap;
 
-    let file = std::fs::File::open(path).expect("capture opens");
-    let reader = CaptureReader::new(std::io::BufReader::new(file)).expect("valid header");
+    let reader = open_capture(path)?;
     let (mut frames, mut queries, mut responses, mut tcp, mut malformed) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     let mut first: Option<netbase::time::SimTime> = None;
@@ -1712,4 +1730,5 @@ fn inspect_capture(path: &Path) {
     for (t, n) in top.iter().take(8) {
         println!("  {t:<8} {n}");
     }
+    Ok(())
 }

@@ -551,3 +551,123 @@ fn wire_encode_into_is_allocation_free_and_byte_identical() {
     assert_eq!(stats.allocs, 0, "encode_into allocated in steady state");
     assert_eq!(stats.bytes, 0);
 }
+
+#[test]
+fn alloc_totals_count_allocations_on_spawned_threads() {
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let before = obs::alloc::totals();
+    let (allocs, bytes) = std::thread::spawn(|| {
+        let (_, stats) = obs::alloc::measure(|| {
+            let kept: Vec<Vec<u8>> = (0..100).map(|i| vec![i as u8; 1000]).collect();
+            std::hint::black_box(kept)
+        });
+        (stats.allocs, stats.bytes)
+    })
+    .join()
+    .unwrap();
+    let after = obs::alloc::totals();
+    assert!(allocs >= 100 && bytes >= 100_000, "{allocs} allocs");
+    // other test threads only add to the totals
+    assert!(after.0 - before.0 >= allocs, "{before:?} -> {after:?}");
+    assert!(after.1 - before.1 >= bytes, "{before:?} -> {after:?}");
+}
+
+#[test]
+fn referral_encode_allocates_only_its_output() {
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let referral = bench::scenarios::sample_response();
+    let expected = referral.encode().expect("encodes");
+    let (out, stats) = obs::alloc::measure(|| referral.encode().expect("encodes"));
+    assert_eq!(out, expected);
+    assert_eq!(stats.allocs, 1, "Message::encode of a referral");
+}
+
+#[test]
+fn name_containment_and_zone_classification_do_not_allocate() {
+    use dns_wire::name::Name;
+    use zonedb::zone::ZoneModel;
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let zones = [
+        ZoneModel::nl(1000),
+        ZoneModel::nz(140, 560),
+        ZoneModel::root(300),
+    ];
+    let mut names: Vec<Name> = Vec::new();
+    for zone in &zones {
+        for idx in [0, 7, 99] {
+            let name = zone.registered_domain(idx);
+            names.push(name.child(b"WWW").unwrap());
+            names.push(name);
+        }
+    }
+    for s in [
+        "nl",
+        "co.nz",
+        "a.b.co.nz",
+        "nonexistent.nl",
+        "x.y.z.invalid",
+    ] {
+        names.push(s.parse().unwrap());
+    }
+    let (hits, stats) = obs::alloc::measure(|| {
+        let mut hits = 0usize;
+        for zone in &zones {
+            for name in &names {
+                hits += usize::from(name.is_subdomain_of(zone.apex()));
+                hits += usize::from(zone.classify(name) == zonedb::zone::Lookup::Delegated);
+            }
+        }
+        hits
+    });
+    assert!(hits > 0);
+    assert_eq!(stats.allocs, 0, "is_subdomain_of / classify allocated");
+}
+
+/// The nl 2020 tiny capture, generated serially (on this thread, so
+/// `measure` sees every allocation), with the allocations it took.
+fn tiny_nl_generation() -> (
+    simnet::engine::Engine,
+    Vec<netbase::capture::CaptureRecord>,
+    u64,
+    obs::alloc::ScopeStats,
+) {
+    use simnet::engine::Engine;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+
+    let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
+    let mut records = Vec::new();
+    let (gen, stats) = obs::alloc::measure(|| engine.generate_sharded(&mut records, 1));
+    let queries = gen.expect("generates").queries;
+    (engine, records, queries, stats)
+}
+
+#[test]
+fn calibrated_generate_and_ingest_allocation_bounds() {
+    use entrada::enrich::Enricher;
+    use entrada::ingest::CaptureIngest;
+    use simnet::engine::plan_config_for;
+    use simnet::scenario::Scale;
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let (engine, records, queries, gen) = tiny_nl_generation();
+    let per_query = gen.allocs as f64 / queries as f64;
+    assert!(
+        per_query <= 25.0,
+        "generation: {per_query:.1} allocs/query ({} over {queries})",
+        gen.allocs
+    );
+
+    let mapper =
+        asdb::synth::InternetPlan::build(&plan_config_for(engine.spec(), Scale::tiny(), 42)).mapper;
+    let mut ingest = CaptureIngest::new(records.into_iter(), Enricher::new(mapper));
+    let (rows, stats) = obs::alloc::measure(|| ingest.by_ref().count() as u64);
+    assert!(ingest.stats().balanced());
+    let per_row = stats.allocs as f64 / rows as f64;
+    assert!(
+        per_row <= 10.0,
+        "ingest: {per_row:.1} allocs/row ({} over {rows})",
+        stats.allocs
+    );
+}

@@ -128,6 +128,16 @@ fn bad_scale_is_rejected() {
 
 #[test]
 fn bad_flag_values_fail_with_friendly_errors() {
+    // 100 bytes that are neither a capture, a pcap nor JSON
+    let junk = tmp("junk.bin");
+    std::fs::write(
+        &junk,
+        (0..100u32).map(|i| (i * 37 + 11) as u8).collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let junk = junk.to_str().unwrap();
+    let out = tmp("bad-input.out");
+    let out = out.to_str().unwrap();
     // every case: non-zero exit, a readable message, and no panic text
     for (args, expect) in [
         (&["table1", "--seed=banana"][..], "--seed takes an integer"),
@@ -150,6 +160,14 @@ fn bad_flag_values_fail_with_friendly_errors() {
             &["live", "nl", "2020", "no-such-dir/x.dnscap", "--scale=tiny"][..],
             "live no-such-dir/x.dnscap:",
         ),
+        (&["inspect", junk][..], "not a .dnscap capture"),
+        (
+            &["export-pcap", "no-such.dnscap", out][..],
+            "no-such.dnscap:",
+        ),
+        (&["import-pcap", junk, out][..], "not a libpcap capture"),
+        (&["analyze-pcap", junk][..], "not a libpcap capture"),
+        (&["scenario", junk][..], "not a scenario JSON"),
     ] {
         let out = bin().args(args).output().expect("runs");
         assert!(!out.status.success(), "{args:?} should fail");
@@ -157,6 +175,8 @@ fn bad_flag_values_fail_with_friendly_errors() {
         assert!(err.contains(expect), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    let _ = std::fs::remove_file(junk);
+    let _ = std::fs::remove_file(out);
 }
 
 #[test]
